@@ -36,36 +36,66 @@ from .photonics import (
     load_efficiency_table,
     save_efficiency_table,
 )
-from .protocol import ProtocolConfig, default_basis_bias, run_eb_session, run_pm_session
+from .protocol import (
+    CHUNK_ROUNDS,
+    ProtocolConfig,
+    default_basis_bias,
+    run_eb_session,
+    run_pm_session,
+)
 from .security import analyze_counts, key_rate, q_max, report_csv_rows
 from .states import visibility_for_qber
 
 
-def _atomic_write_text(path, text: str) -> None:
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_via(path, writer) -> None:
-    """Run a path-taking writer against a temp file, then rename into place."""
+def _atomic_write(path, writer) -> None:
+    """Run writer(temp_path) on a temp file beside path, then rename into place."""
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
     os.close(fd)
     try:
-        writer(tmp)
+        writer(Path(tmp))
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# Every field after the round is one digit: indices below 10 and 0/1 flags.
+_LOG_FIELDS = ("basis_a", "elem_a", "basis_b", "elem_b", "click_a", "click_b", "coincidence")
+_LOG_HEADER = ",".join(("round",) + _LOG_FIELDS) + "\n"
+
+
+def _format_log_rows(log: np.ndarray) -> bytes:
+    """Render log rows as CSV bytes: the decimal round, then seven 0-9 fields.
+
+    Rows whose round numbers have the same digit count form a fixed-width
+    block, so each block is one uint8 matrix filled column by column.
+    """
+    rounds = log["round"]
+    width = np.ones(len(rounds), dtype=np.int64)
+    for k in range(1, 19):
+        width += rounds >= 10**k
+    edges = np.flatnonzero(np.diff(width)) + 1
+    out = []
+    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(rounds)]):
+        w = int(width[lo])
+        block = np.full((hi - lo, w + 2 * len(_LOG_FIELDS) + 1), ord(","), dtype=np.uint8)
+        value = rounds[lo:hi]
+        for k in range(w):
+            block[:, w - 1 - k] = value // 10**k % 10 + ord("0")
+        for j, name in enumerate(_LOG_FIELDS):
+            block[:, w + 1 + 2 * j] = log[name][lo:hi].astype(np.uint8) + ord("0")
+        block[:, -1] = ord("\n")
+        out.append(block.tobytes())
+    return b"".join(out)
+
+
+def _write_log(log: np.ndarray, path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_LOG_HEADER.encode("ascii"))
+        for start in range(0, len(log), CHUNK_ROUNDS):
+            fh.write(_format_log_rows(log[start : start + CHUNK_ROUNDS]))
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -136,7 +166,7 @@ def _cmd_gen_bases(args: argparse.Namespace) -> int:
     out = opts.get("out", required=True)
     mubs = mub_set(d)
     report = unbiasedness_report(mubs)
-    _atomic_write_via(out, lambda tmp: save_bases(mubs, tmp))
+    _atomic_write(out, lambda tmp: save_bases(mubs, tmp))
     print(
         f"wrote {d + 1} bases for dimension {d} to {out} "
         f"(max unbiasedness deviation {report.max_unbiased_deviation:.2e})"
@@ -219,17 +249,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             cfg, mubs, workers=workers, keep_full_log=bool(log_path), exact=exact
         )
 
-    _atomic_write_via(out, lambda tmp: save_counts(session.counts, tmp))
+    _atomic_write(out, lambda tmp: save_counts(session.counts, tmp))
     if log_path:
-        header = "round,basis_a,elem_a,basis_b,elem_b,click_a,click_b,coincidence"
-        rows = [header]
-        for entry in session.log:
-            rows.append(
-                f"{entry['round']},{entry['basis_a']},{entry['elem_a']},"
-                f"{entry['basis_b']},{entry['elem_b']},{int(entry['click_a'])},"
-                f"{int(entry['click_b'])},{int(entry['coincidence'])}"
-            )
-        _atomic_write_text(log_path, "\n".join(rows) + "\n")
+        _atomic_write(log_path, lambda tmp: _write_log(session.log, tmp))
 
     total = session.counts.total_coincidences()
     print(
@@ -262,10 +284,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     out_report = opts.get("out_report")
     if out_report:
-        _atomic_write_text(out_report, text)
+        _atomic_write(out_report, lambda tmp: tmp.write_text(text, encoding="utf-8"))
     out_csv = opts.get("out_csv")
     if out_csv:
-        _atomic_write_text(out_csv, report_csv_rows([report]))
+        csv_text = report_csv_rows([report])
+        _atomic_write(out_csv, lambda tmp: tmp.write_text(csv_text, encoding="utf-8"))
     return 0
 
 
@@ -306,7 +329,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
 
     out = opts.get("out")
     if out:
-        _atomic_write_via(out, lambda tmp: save_efficiency_table(table, tmp))
+        _atomic_write(out, lambda tmp: save_efficiency_table(table, tmp))
         print(f"wrote efficiency table to {out}")
     for basis in range(counts.dim + 1):
         for elem in range(counts.dim):
@@ -353,23 +376,28 @@ def _cmd_keyrate(args: argparse.Namespace) -> int:
         print(f"Q_max = {ceiling:.4f}")
         out = opts.get("out")
         if out:
-            _atomic_write_text(
-                out,
+            text = (
                 "d,qber,key_rate,q_max\n"
-                f"{d},{qber:.10g},{rate:.10g},{ceiling:.10g}\n",
+                f"{d},{qber:.10g},{rate:.10g},{ceiling:.10g}\n"
             )
+            _atomic_write(out, lambda tmp: tmp.write_text(text, encoding="utf-8"))
         return 0
 
     lo, hi, step = _parse_sweep(sweep)
+    edge = d / (d + 1)
+    if hi >= edge:
+        raise ConfigError(
+            f"sweep end {hi:g} must stay below the error-rate ceiling d/(d+1) = {edge:.6g}"
+        )
+    n_rows = int((hi + 1e-12 - lo) // step) + 1
     lines = ["d,qber,key_rate"]
-    q = lo
-    while q <= hi + 1e-12:
+    for i in range(n_rows):
+        q = min(lo + i * step, hi)
         lines.append(f"{d},{q:.10g},{key_rate(d, q):.10g}")
-        q += step
     text = "\n".join(lines) + "\n"
     out = opts.get("out")
     if out:
-        _atomic_write_text(out, text)
+        _atomic_write(out, lambda tmp: tmp.write_text(text, encoding="utf-8"))
         print(f"wrote {len(lines) - 1} sweep rows to {out}")
     else:
         sys.stdout.write(text)

@@ -461,19 +461,32 @@ def expected_count_matrix(cfg: ProtocolConfig, mubs: MubSet) -> CountMatrix:
     )
 
 
+def _key_string(elems: np.ndarray, dim: int) -> str:
+    """Key symbols as an ASCII digit string, one character per symbol."""
+    if dim > 10:
+        raise DimensionError(
+            f"key strings hold one decimal digit per symbol; d={dim} needs more"
+        )
+    return (elems + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+
+
 def sift(session: SessionRecord) -> SiftedData:
     """Keep coincident rounds where both parties used the same basis."""
     log = session.log
     mask = log["coincidence"] & (log["basis_a"] == log["basis_b"])
-    kept = log[mask]
+    # np.compress copies packed records several times faster than log[mask].
+    kept = np.compress(mask, log)
     entries = np.empty(len(kept), dtype=SIFT_DTYPE)
     entries["round"] = kept["round"]
     entries["basis"] = kept["basis_a"]
     entries["elem_a"] = kept["elem_a"]
     entries["elem_b"] = kept["elem_b"]
-    alice = "".join(str(int(e)) for e in entries["elem_a"])
-    bob = "".join(str(int(e)) for e in entries["elem_b"])
-    return SiftedData(dim=session.dim, entries=entries, alice_key=alice, bob_key=bob)
+    return SiftedData(
+        dim=session.dim,
+        entries=entries,
+        alice_key=_key_string(entries["elem_a"], session.dim),
+        bob_key=_key_string(entries["elem_b"], session.dim),
+    )
 
 
 def estimate_parameters(
@@ -497,7 +510,7 @@ def estimate_parameters(
     chosen = np.sort(rng.choice(n, size=k, replace=False))
     mask = np.zeros(n, dtype=bool)
     mask[chosen] = True
-    sample = sifted.entries[mask]
+    sample = np.compress(mask, sifted.entries)
 
     q_by_basis: list[float | None] = []
     for basis in range(sifted.dim + 1):
@@ -510,12 +523,12 @@ def estimate_parameters(
     if not available:
         raise ConfigError("subsample hit no basis; increase the fraction")
 
-    keep = sifted.entries[~mask]
+    keep = np.compress(~mask, sifted.entries)
     remaining = SiftedData(
         dim=sifted.dim,
         entries=keep,
-        alice_key="".join(str(int(e)) for e in keep["elem_a"]),
-        bob_key="".join(str(int(e)) for e in keep["elem_b"]),
+        alice_key=_key_string(keep["elem_a"], sifted.dim),
+        bob_key=_key_string(keep["elem_b"], sifted.dim),
     )
     return ParameterEstimate(
         q_by_basis=tuple(q_by_basis),

@@ -45,6 +45,29 @@ def test_keyrate_sweep_csv(tmp_path):
     assert first[0] == "2" and float(first[2]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "sweep, rows",
+    [("0:0.3:0.001", 301), ("0:0.12:0.005", 25), ("0.1:0.1:0.5", 1)],
+)
+def test_keyrate_sweep_row_count(tmp_path, sweep, rows):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("keyrate", "--dim", "2", "--sweep", sweep, "--out", str(out)) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == rows
+    lo, _, step = (float(p) for p in sweep.split(":"))
+    want = [f"{round(lo + i * step, 9):.10g}" for i in range(rows)]
+    assert [line.split(",")[1] for line in lines] == want
+
+
+def test_keyrate_sweep_past_ceiling_is_rejected_up_front(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("keyrate", "--dim", "2", "--sweep", "0:0.7:0.1",
+                   "--out", str(out)) == 1
+    assert not out.exists()
+    assert "0.666667" in capsys.readouterr().err
+    assert run_cli("keyrate", "--dim", "3", "--sweep", "0:0.75:0.05") == 1
+
+
 def test_keyrate_requires_exactly_one_mode():
     assert run_cli("keyrate", "--dim", "2") == 1
     assert run_cli("keyrate", "--dim", "2", "--qber", "0.01",
@@ -154,6 +177,63 @@ def test_simulate_log_file(tmp_path):
     lines = log.read_text().strip().split("\n")
     assert lines[0].startswith("round,basis_a")
     assert len(lines) > 1
+
+
+def _oracle_log(log):
+    """The per-row f-string log writer the vectorised one must match."""
+    rows = ["round,basis_a,elem_a,basis_b,elem_b,click_a,click_b,coincidence"]
+    for entry in log:
+        rows.append(
+            f"{entry['round']},{entry['basis_a']},{entry['elem_a']},"
+            f"{entry['basis_b']},{entry['elem_b']},{int(entry['click_a'])},"
+            f"{int(entry['click_b'])},{int(entry['coincidence'])}"
+        )
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+def _simulate_capturing_session(monkeypatch, *argv):
+    sessions = []
+
+    def capture(run):
+        def wrapped(*args, **kwargs):
+            sessions.append(run(*args, **kwargs))
+            return sessions[-1]
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_eb_session", capture(cli.run_eb_session))
+    monkeypatch.setattr(cli, "run_pm_session", capture(cli.run_pm_session))
+    assert run_cli("simulate", *argv) == 0
+    return sessions[0]
+
+
+# 100_001 rounds cross both the 65535/65536 chunk edge and the
+# 99999/100000 digit-width change; 12_000 rounds cross 9999/10000.
+@pytest.mark.parametrize(
+    "mode, dim, rounds",
+    [("eb", 2, 100_001), ("eb", 7, 12_000), ("pm", 2, 12_000), ("pm", 7, 12_000)],
+)
+def test_log_file_matches_row_oracle(tmp_path, monkeypatch, mode, dim, rounds):
+    log = tmp_path / "rounds.csv"
+    session = _simulate_capturing_session(
+        monkeypatch, "--mode", mode, "--dim", str(dim), "--rounds", str(rounds),
+        "--seed", "31", "--visibility", "0.9", "--out", str(tmp_path / "c.csv"),
+        "--log", str(log),
+    )
+    assert len(session.log) == rounds
+    assert session.log["coincidence"].any()
+    assert log.read_bytes() == _oracle_log(session.log)
+
+
+def test_exact_pm_log_is_header_only(tmp_path):
+    log = tmp_path / "rounds.csv"
+    code = run_cli(
+        "simulate", "--mode", "pm", "--dim", "3", "--rounds", "500",
+        "--seed", "0", "--exact", "--out", str(tmp_path / "c.csv"), "--log", str(log),
+    )
+    assert code == 0
+    assert log.read_bytes() == (
+        b"round,basis_a,elem_a,basis_b,elem_b,click_a,click_b,coincidence\n"
+    )
 
 
 def test_efficiency_subcommand(tmp_path, capsys):

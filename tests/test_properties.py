@@ -1,6 +1,7 @@
 """Property-based invariants over randomly drawn inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,14 +27,23 @@ def test_visibility_qber_round_trip(d, frac):
     assert abs((1 - v) * (d - 1) / d - q) < 1e-12
 
 
-@given(d=DIMS, f1=st.floats(0.0, 0.95), f2=st.floats(0.0, 0.95))
+# key_rate falls on the physical range [0, (d-1)/d] and rises past it.
+@given(d=DIMS, f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_key_rate_monotone_in_error(d, f1, f2):
-    edge = d / (d + 1)
-    q1, q2 = sorted((f1 * edge, f2 * edge))
+    top = (d - 1) / d
+    q1, q2 = sorted((f1 * top, f2 * top))
     if q2 - q1 < 1e-9:
         return
     assert key_rate(d, q1) > key_rate(d, q2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_key_rate_minimum_sits_at_uniform_error(d):
+    top = (d - 1) / d
+    assert key_rate(d, top) == pytest.approx(-np.log2(d))
+    assert key_rate(d, top) < key_rate(d, top - 1e-3)
+    assert key_rate(d, top) < key_rate(d, top + 1e-3)
 
 
 @given(d=DIMS, frac=st.floats(0.0, 0.999))

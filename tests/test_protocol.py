@@ -5,11 +5,13 @@ import pytest
 
 from mubqkd.bases import mub_set
 from mubqkd.counts import normalize_blocks
-from mubqkd.errors import ConfigError
+from mubqkd.errors import ConfigError, DimensionError
 from mubqkd.photonics import EfficiencyTable, SourceParams
 from mubqkd.protocol import (
     CHUNK_ROUNDS,
+    LOG_DTYPE,
     ProtocolConfig,
+    SessionRecord,
     _EbChunkModel,
     default_basis_bias,
     estimate_parameters,
@@ -289,6 +291,39 @@ def test_sift_key_alphabet_matches_dimension():
     session = run_pm_session(cfg, mub_set(3), keep_full_log=True)
     sifted = sift(session)
     assert set(sifted.alice_key) <= {"0", "1", "2"}
+
+
+def _oracle_key(elems):
+    """The per-symbol key builder the vectorised one must match."""
+    return "".join(str(int(e)) for e in elems)
+
+
+@pytest.mark.parametrize("d", [2, 7])
+def test_keys_match_per_symbol_oracle(d):
+    cfg = ProtocolConfig(dim=d, mode="pm", rounds=80_000, seed=21, flip_prob=0.1)
+    sifted = sift(run_pm_session(cfg, mub_set(d)))
+    assert len(sifted) > 0
+    assert sifted.alice_key == _oracle_key(sifted.entries["elem_a"])
+    assert sifted.bob_key == _oracle_key(sifted.entries["elem_b"])
+    assert sifted.alice_key != sifted.bob_key
+
+    n = len(sifted)
+    k = max(1, int(0.1 * n))
+    chosen = np.sort(np.random.default_rng(4).choice(n, size=k, replace=False))
+    est = estimate_parameters(sifted, 0.1, np.random.default_rng(4))
+    kept = np.delete(sifted.entries, chosen)
+    assert est.remaining.entries.tobytes() == kept.tobytes()
+    assert est.remaining.alice_key == _oracle_key(kept["elem_a"])
+    assert est.remaining.bob_key == _oracle_key(kept["elem_b"])
+
+
+def test_sift_rejects_multi_digit_symbols():
+    cfg = ProtocolConfig(dim=11, mode="pm", rounds=10, seed=0)
+    session = SessionRecord(
+        config=cfg, counts=None, log=np.empty(0, dtype=LOG_DTYPE), log_scope="coincident"
+    )
+    with pytest.raises(DimensionError):
+        sift(session)
 
 
 def test_estimate_parameters_splits_sample():
