@@ -1,9 +1,20 @@
 """Session simulation for the entanglement-based and prepare-and-measure modes.
 
-Each pump pulse is one protocol round.  Randomness is counter-based: round r
-draws its variates from a fixed slot layout inside the stream keyed by
-(seed, r // CHUNK_ROUNDS), so any shard of rounds can be computed on any
-worker and merged by chunk index into a bit-identical session.
+Each pump pulse is one protocol round.  Randomness is counter-based: the
+rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed by
+(seed, c), so any shard of chunks can be computed on any worker and merged
+by chunk index into a bit-identical session.  One round kernel serves both
+modes and draws only what a round reads (see _RoundKernel):
+
+* EB: one creation uniform per round for the whole chunk, then five
+  uniforms (route, setting_a, setting_b, click_a, click_b) for each round
+  that created a pair, in round order.
+* PM: three uniforms per round (setting_a, setting_b, click_b).
+
+A setting is one categorical draw over the (d + 1) * d (basis, element)
+pairs.  The settings of EB rounds without a pair are drawn only for the
+full log, from a separate sub-stream of the chunk, so the counts are the
+same with and without it.
 
 Entanglement-based rounds: a photon pair appears with probability
 alpha_sq * chi, splits AB/AA/BB with probabilities (1/2, 1/4, 1/4), and
@@ -26,12 +37,24 @@ import numpy as np
 from .bases import MubSet
 from .counts import CountMatrix
 from .errors import ConfigError, DimensionError
-from .photonics import EfficiencyTable, SourceParams
+from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
 from .states import isotropic_state, joint_prob_matrix
 
 CHUNK_ROUNDS = 1 << 16
-_SLOTS = 8  # per-round variate layout, see _simulate_chunk
 FULL_LOG_WARN_ROUNDS = 10**7
+
+# A logged round while the session runs: 6 bytes, the row within its
+# chunk (CHUNK_ROUNDS fits uint16), both flat settings (under 56 for every
+# supported d) and both clicks.
+_PART_DTYPE = np.dtype(
+    [
+        ("row", np.uint16),
+        ("s_a", np.uint8),
+        ("s_b", np.uint8),
+        ("click_a", np.bool_),
+        ("click_b", np.bool_),
+    ]
+)
 
 LOG_DTYPE = np.dtype(
     [
@@ -63,6 +86,13 @@ def default_basis_bias(d: int, epsilon: float = 0.1) -> tuple[float, ...]:
     return (1.0 - epsilon,) + (epsilon / d,) * d
 
 
+def _check_bias(bias, n_bases: int) -> None:
+    if len(bias) != n_bases:
+        raise ConfigError(f"basis bias needs {n_bases} weights, got {len(bias)}")
+    if min(bias) < 0 or abs(sum(bias) - 1.0) > 1e-12:
+        raise ConfigError("basis bias weights must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Static description of one simulated session."""
@@ -91,12 +121,7 @@ class ProtocolConfig:
         if bias is None:
             bias = default_basis_bias(self.dim)
         bias = tuple(float(b) for b in bias)
-        if len(bias) != self.dim + 1:
-            raise ConfigError(
-                f"basis bias needs {self.dim + 1} weights, got {len(bias)}"
-            )
-        if min(bias) < 0 or abs(sum(bias) - 1.0) > 1e-12:
-            raise ConfigError("basis bias weights must be nonnegative and sum to 1")
+        _check_bias(bias, self.dim + 1)
         object.__setattr__(self, "basis_bias", bias)
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError(f"visibility must lie in [0, 1], got {self.visibility}")
@@ -162,143 +187,160 @@ class ParameterEstimate:
     remaining: SiftedData
 
 
+def _setting_table(bias, d: int) -> np.ndarray:
+    """Cumulative weights of the n_b * d settings, flat index basis * d + elem.
+
+    Dividing by the last entry makes it exactly 1.0, so a uniform in [0, 1)
+    never falls past the table, nor onto a trailing zero-weight setting.
+    """
+    cum = np.cumsum(np.repeat(np.asarray(bias, dtype=np.float64) / d, d))
+    return cum / cum[-1]
+
+
+def _draw_setting(table: np.ndarray, u):
+    """Flat setting index for each uniform: one categorical draw per setting.
+
+    Equals np.searchsorted(table, u, side="right").  Counting the
+    thresholds at or below u is several times faster for tables this small.
+    """
+    u = np.asarray(u, order="C")  # one strided read, not one per threshold
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(table)))
+    for edge in table[:-1]:
+        idx += u >= edge
+    return idx
+
+
 def sample_setting(
     bias: tuple[float, ...], mubs: MubSet, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Draw (basis, element): basis by bias weights, element uniformly."""
-    if len(bias) != mubs.n_bases:
-        raise ConfigError(
-            f"bias length {len(bias)} does not match {mubs.n_bases} bases"
-        )
-    basis = int(rng.choice(mubs.n_bases, p=np.asarray(bias)))
-    elem = int(rng.integers(mubs.dim))
-    return basis, elem
+    _check_bias(bias, mubs.n_bases)
+    setting = int(_draw_setting(_setting_table(bias, mubs.dim), rng.random()))
+    return divmod(setting, mubs.dim)
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+def _chunk_rng(seed: int, chunk: int, stream: int = 0) -> np.random.Generator:
+    """Philox stream of one chunk; stream 1 is a disjoint sub-stream (top counter word)."""
     key = np.array([seed, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, stream]))
 
 
-def _draw_settings(u: np.ndarray, cum_bias: np.ndarray, d: int) -> np.ndarray:
-    idx = np.searchsorted(cum_bias, u, side="right")
-    return np.minimum(idx, len(cum_bias) - 1).astype(np.int64)
+class _RoundKernel:
+    """Lookup tables and the per-chunk round kernel shared by both modes.
 
-
-class _EbChunkModel:
-    """Precomputed lookup tables for the entanglement-based round kernel."""
+    Only the draw and the click step depend on the mode; the draw layout
+    is described in the module docstring.  The EB draw always fills the
+    whole chunk's creation uniforms, so a round's variates do not depend
+    on where the session ends.
+    """
 
     def __init__(self, cfg: ProtocolConfig, mubs: MubSet):
-        self.d = cfg.dim
-        self.n_b = cfg.dim + 1
+        d, n_s = cfg.dim, (cfg.dim + 1) * cfg.dim
+        self.seed, self.d, self.n_s = cfg.seed, d, n_s
+        self.table = _setting_table(cfg.basis_bias, d)
+        ea = np.asarray(cfg.efficiencies.eta_a, dtype=np.float64).reshape(n_s)
+        eb = np.asarray(cfg.efficiencies.eta_b, dtype=np.float64).reshape(n_s)
+        if cfg.mode == "pm":
+            self.width, self.draw, self.clicks = 3, self._draw_pm, self._pm_clicks
+            ov = pm_effective_overlaps(mubs, cfg.flip_prob).reshape(n_s, n_s)
+            self.thr_b = (ov * eb).ravel()
+            return
+        self.width, self.draw, self.clicks = 1, self._draw_eb, self._eb_clicks
         self.pair_prob = cfg.source.pair_prob
-        self.cum_bias = np.cumsum(np.asarray(cfg.basis_bias))
-        self.eta_a = np.asarray(cfg.efficiencies.eta_a)
-        self.eta_b = np.asarray(cfg.efficiencies.eta_b)
-        rho = isotropic_state(cfg.dim, cfg.visibility)
-        self.p_joint = joint_prob_matrix(rho, mubs).probs
+        routing = pair_routing_probs()
+        self.route_table = np.cumsum([routing.ab, routing.aa])
+        # A's click threshold per (arm, setting_a): one photon on AB, two on AA.
+        self.thr_a = np.stack([ea / 2.0, ea, np.zeros(n_s)])
+        # B's threshold per (arm, click_a, cell).  On AB it is correlated
+        # with A so the pairwise rate is eta_a eta_b d p_joint / 2; on AA
+        # it never fires; on BB both photons reach B.  Efficiencies are
+        # positive and at most about 1, so 1 - eta_a / 2 is never near zero.
+        pj = joint_prob_matrix(isotropic_state(d, cfg.visibility), mubs).probs
+        given_a = eb * d * pj.reshape(n_s, n_s)
+        joint = ea[:, None] / 2.0 * given_a
+        given_not_a = (eb / 2.0 - joint) / (1.0 - ea[:, None] / 2.0)
+        self.thr_b = np.zeros((3, 2, n_s * n_s))
+        self.thr_b[0, 0] = np.clip(given_not_a, 0.0, 1.0).ravel()
+        self.thr_b[0, 1] = given_a.ravel()
+        self.thr_b[2] = np.tile(eb, n_s)
 
-    def run(self, u: np.ndarray, base_round: int, keep_full: bool):
-        d, n_b = self.d, self.n_b
-        n = u.shape[1]
-        basis_a = _draw_settings(u[2], self.cum_bias, d)
-        elem_a = np.minimum((u[3] * d).astype(np.int64), d - 1)
-        basis_b = _draw_settings(u[4], self.cum_bias, d)
-        elem_b = np.minimum((u[5] * d).astype(np.int64), d - 1)
+    def buffer(self) -> np.ndarray:
+        """Scratch for one chunk's bulk draw; each thread needs its own."""
+        return np.empty(CHUNK_ROUNDS * self.width)
 
-        created = u[0] < self.pair_prob
-        route = u[1]
-        ab = created & (route < 0.5)
-        aa = created & (route >= 0.5) & (route < 0.75)
-        bb = created & (route >= 0.75)
+    def _draw_eb(self, chunk: int, n: int, buf: np.ndarray):
+        """Created rounds of the chunk's first n and their (k, 5) variates."""
+        rng = _chunk_rng(self.seed, chunk)
+        rng.random(out=buf)
+        rows = np.flatnonzero(buf[:n] < self.pair_prob)
+        return rows, rng.random((len(rows), 5))
 
-        ea = self.eta_a[basis_a, elem_a]
-        eb = self.eta_b[basis_b, elem_b]
-        pj = self.p_joint[basis_a, elem_a, basis_b, elem_b]
+    def _draw_pm(self, chunk: int, n: int, buf: np.ndarray):
+        v = buf[: 3 * n].reshape(n, 3)
+        _chunk_rng(self.seed, chunk).random(out=v)
+        return np.arange(n), v
 
-        click_a = np.zeros(n, dtype=bool)
-        click_b = np.zeros(n, dtype=bool)
+    def route(self, v: np.ndarray) -> np.ndarray:
+        """Arm of each created pair: 0 AB, 1 AA, 2 BB (pair_routing_probs order)."""
+        return np.searchsorted(self.route_table, v[:, 0], side="right")
 
-        # One photon in each arm: A clicks with eta_a / 2; B's click is
-        # correlated so the pairwise rate is eta_a eta_b d p_joint / 2.
-        click_a[ab] = u[6][ab] < ea[ab] / 2.0
-        joint_rate = ea * eb * d * pj / 2.0
-        p_b_given_a = np.divide(
-            joint_rate, ea / 2.0, out=np.zeros(n), where=ea > 0
-        )
-        p_b_given_not_a = np.divide(
-            eb / 2.0 - joint_rate, 1.0 - ea / 2.0, out=np.zeros(n), where=ea < 2.0
-        )
-        p_b = np.where(click_a, p_b_given_a, np.clip(p_b_given_not_a, 0.0, 1.0))
-        click_b[ab] = u[7][ab] < p_b[ab]
+    def _eb_clicks(self, v: np.ndarray):
+        arm = self.route(v)
+        s_a = _draw_setting(self.table, v[:, 1])
+        s_b = _draw_setting(self.table, v[:, 2])
+        click_a = v[:, 3] < self.thr_a[arm, s_a]
+        click_b = v[:, 4] < self.thr_b[arm, click_a.view(np.uint8), self.cell(s_a, s_b)]
+        return s_a, s_b, click_a, click_b
 
-        # Both photons in one arm: only that arm can click, never both.
-        click_a[aa] = u[6][aa] < ea[aa]
-        click_b[bb] = u[7][bb] < eb[bb]
+    def _pm_clicks(self, v: np.ndarray):
+        s_a = _draw_setting(self.table, v[:, 0])
+        s_b = _draw_setting(self.table, v[:, 1])
+        click_b = v[:, 2] < self.thr_b[self.cell(s_a, s_b)]
+        return s_a, s_b, np.ones(len(v), dtype=bool), click_b
 
-        coinc = click_a & click_b
-        flat = (basis_a * d + elem_a) * (n_b * d) + (basis_b * d + elem_b)
-        m = (n_b * d) ** 2
-        singles_a = np.bincount(flat[click_a], minlength=m)
-        singles_b = np.bincount(flat[click_b], minlength=m)
-        coincidences = np.bincount(flat[coinc], minlength=m)
+    def cell(self, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+        return s_a.astype(np.intp) * self.n_s + s_b
 
-        rows = np.arange(n, dtype=np.int64) + base_round
-        scope = slice(None) if keep_full else coinc
-        log = np.empty(int(n if keep_full else np.sum(coinc)), dtype=LOG_DTYPE)
-        log["round"] = rows[scope]
-        log["basis_a"] = basis_a[scope]
-        log["elem_a"] = elem_a[scope]
-        log["basis_b"] = basis_b[scope]
-        log["elem_b"] = elem_b[scope]
-        log["click_a"] = click_a[scope]
-        log["click_b"] = click_b[scope]
-        log["coincidence"] = coinc[scope]
-        return singles_a, singles_b, coincidences, log
+    def run(self, chunk: int, n: int, buf: np.ndarray, keep_full: bool, dest: np.ndarray):
+        """Tally one chunk and write its logged rounds to the front of dest.
 
+        dest has _PART_DTYPE.  Returns (singles_a, singles_b, coincidences)
+        over the flat cells and the number of rows written.
+        """
+        rows, v = self.draw(chunk, n, buf)
+        s_a, s_b, click_a, click_b = self.clicks(v)
+        # One pass over (cell, click pattern); pattern 3 is a coincidence.
+        pattern = click_a + 2 * click_b.view(np.uint8)
+        per = np.bincount(self.cell(s_a, s_b) * 4 + pattern, minlength=4 * self.n_s**2)
+        per = per.reshape(-1, 4)
+        tallies = (per[:, 1] + per[:, 3], per[:, 2] + per[:, 3], per[:, 3])
 
-class _PmChunkModel:
-    """Lookup tables for the prepare-and-measure round kernel."""
+        if not keep_full:
+            # Gathering by index is several times faster than boolean masking here.
+            hit = np.flatnonzero(click_a & click_b)
+            rows, s_a, s_b, click_a, click_b = (
+                x[hit] for x in (rows, s_a, s_b, click_a, click_b)
+            )
+        elif len(rows) < n:
+            # EB rounds without a pair: settings from sub-stream 1, no clicks.
+            idle = np.ones(n, dtype=bool)
+            idle[rows] = False
+            u = _chunk_rng(self.seed, chunk, stream=1).random((n - len(rows), 2))
 
-    def __init__(self, cfg: ProtocolConfig, mubs: MubSet):
-        self.d = cfg.dim
-        self.n_b = cfg.dim + 1
-        self.cum_bias = np.cumsum(np.asarray(cfg.basis_bias))
-        self.eta_b = np.asarray(cfg.efficiencies.eta_b)
-        self.overlap = pm_effective_overlaps(mubs, cfg.flip_prob)
+            def spread(got, rest):
+                x = np.empty(n, dtype=got.dtype)
+                x[idle] = rest
+                x[rows] = got
+                return x
 
-    def run(self, u: np.ndarray, base_round: int, keep_full: bool):
-        d, n_b = self.d, self.n_b
-        n = u.shape[1]
-        basis_a = _draw_settings(u[2], self.cum_bias, d)
-        elem_a = np.minimum((u[3] * d).astype(np.int64), d - 1)
-        basis_b = _draw_settings(u[4], self.cum_bias, d)
-        elem_b = np.minimum((u[5] * d).astype(np.int64), d - 1)
-
-        eb = self.eta_b[basis_b, elem_b]
-        ov = self.overlap[basis_a, elem_a, basis_b, elem_b]
-        click_b = u[7] < eb * ov
-        click_a = np.ones(n, dtype=bool)
-        coinc = click_b
-
-        flat = (basis_a * d + elem_a) * (n_b * d) + (basis_b * d + elem_b)
-        m = (n_b * d) ** 2
-        singles_a = np.bincount(flat, minlength=m)
-        singles_b = np.bincount(flat[click_b], minlength=m)
-        coincidences = singles_b.copy()
-
-        rows = np.arange(n, dtype=np.int64) + base_round
-        scope = slice(None) if keep_full else coinc
-        log = np.empty(int(n if keep_full else np.sum(coinc)), dtype=LOG_DTYPE)
-        log["round"] = rows[scope]
-        log["basis_a"] = basis_a[scope]
-        log["elem_a"] = elem_a[scope]
-        log["basis_b"] = basis_b[scope]
-        log["elem_b"] = elem_b[scope]
-        log["click_a"] = click_a[scope]
-        log["click_b"] = click_b[scope]
-        log["coincidence"] = coinc[scope]
-        return singles_a, singles_b, coincidences, log
+            s_a = spread(s_a, _draw_setting(self.table, u[:, 0]))
+            s_b = spread(s_b, _draw_setting(self.table, u[:, 1]))
+            click_a, click_b = spread(click_a, False), spread(click_b, False)
+            rows = np.arange(n)
+        part = dest[: len(rows)]
+        part["row"], part["s_a"], part["s_b"] = rows, s_a, s_b
+        part["click_a"], part["click_b"] = click_a, click_b
+        return tallies, len(rows)
 
 
 def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:
@@ -324,7 +366,7 @@ def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:
 
 def _run_chunked(
     cfg: ProtocolConfig,
-    model,
+    kernel: _RoundKernel,
     workers: int,
     keep_full_log: bool,
 ) -> SessionRecord:
@@ -335,40 +377,59 @@ def _run_chunked(
             stacklevel=3,
         )
     n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
-    m = ((cfg.dim + 1) * cfg.dim) ** 2
+    workers = max(1, min(workers, n_chunks))
 
-    def one_chunk(chunk: int):
-        rng = _chunk_rng(cfg.seed, chunk)
-        u = rng.random((_SLOTS, CHUNK_ROUNDS))
-        n = min(CHUNK_ROUNDS, cfg.rounds - chunk * CHUNK_ROUNDS)
-        return model.run(u[:, :n], chunk * CHUNK_ROUNDS, keep_full_log)
+    def shard(first: int):
+        # Each worker takes every workers-th chunk.  It owns its draw buffer
+        # and a pool with room for all of its rounds, filled densely with the
+        # logged ones: one allocation, handed back whole after the merge, and
+        # its pages past the rows written are never touched.
+        buf = kernel.buffer()
+        mine = [(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS))
+                for c in range(first, n_chunks, workers)]
+        pool = np.empty(sum(n for _, n in mine), dtype=_PART_DTYPE)
+        out, at = [], 0
+        for c, n in mine:
+            tallies, k = kernel.run(c, n, buf, keep_full_log, pool[at:])
+            out.append((c, tallies, pool[at : at + k]))
+            at += k
+        return out
 
-    if workers <= 1 or n_chunks == 1:
-        results = [one_chunk(c) for c in range(n_chunks)]
+    if workers == 1:
+        shards = [shard(0)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chunk, range(n_chunks)))
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            shards = list(executor.map(shard, range(workers)))
 
-    singles_a = np.zeros(m, dtype=np.int64)
-    singles_b = np.zeros(m, dtype=np.int64)
-    coinc = np.zeros(m, dtype=np.int64)
-    logs = []
-    for sa, sb, cc, log in results:
-        singles_a += sa
-        singles_b += sb
-        coinc += cc
-        logs.append(log)
+    totals = np.zeros((3, kernel.n_s**2), dtype=np.int64)
+    parts = [None] * n_chunks
+    for results in shards:
+        for c, tallies, part in results:
+            totals += tallies
+            parts[c] = part
+
+    log = np.empty(sum(len(p) for p in parts), dtype=LOG_DTYPE)
+    start = 0
+    for c, part in enumerate(parts):
+        block = log[start : start + len(part)]
+        block["round"] = part["row"]
+        block["round"] += c * CHUNK_ROUNDS
+        block["basis_a"], block["elem_a"] = np.divmod(part["s_a"], cfg.dim)
+        block["basis_b"], block["elem_b"] = np.divmod(part["s_b"], cfg.dim)
+        block["click_a"] = part["click_a"]
+        block["click_b"] = part["click_b"]
+        block["coincidence"] = part["click_a"] & part["click_b"]
+        start += len(part)
 
     n_b, d = cfg.dim + 1, cfg.dim
-    shape = (n_b, d, n_b, d)
+    singles_a, singles_b, coinc = totals.reshape(3, n_b, d, n_b, d).astype(np.float64)
     counts = CountMatrix(
         dim=cfg.dim,
-        singles_a=singles_a.reshape(shape).astype(np.float64),
-        singles_b=singles_b.reshape(shape).astype(np.float64),
-        coincidences=coinc.reshape(shape).astype(np.float64),
+        singles_a=singles_a,
+        singles_b=singles_b,
+        coincidences=coinc,
         metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed},
     )
-    log = np.concatenate(logs) if logs else np.empty(0, dtype=LOG_DTYPE)
     return SessionRecord(
         config=cfg,
         counts=counts,
@@ -390,7 +451,7 @@ def run_eb_session(
         raise DimensionError(
             f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
         )
-    return _run_chunked(cfg, _EbChunkModel(cfg, mubs), workers, keep_full_log)
+    return _run_chunked(cfg, _RoundKernel(cfg, mubs), workers, keep_full_log)
 
 
 def run_pm_session(
@@ -413,7 +474,7 @@ def run_pm_session(
             f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
         )
     if not exact:
-        return _run_chunked(cfg, _PmChunkModel(cfg, mubs), workers, keep_full_log)
+        return _run_chunked(cfg, _RoundKernel(cfg, mubs), workers, keep_full_log)
 
     counts = expected_count_matrix(cfg, mubs)
     return SessionRecord(

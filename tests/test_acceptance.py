@@ -27,7 +27,7 @@ from mubqkd.photonics import (
 from mubqkd.protocol import (
     CHUNK_ROUNDS,
     ProtocolConfig,
-    _chunk_rng,
+    _RoundKernel,
     expected_count_matrix,
     run_eb_session,
     run_pm_session,
@@ -277,21 +277,20 @@ def test_criterion_7_source_model_identities():
     session = run_eb_session(cfg, mub_set(2), workers=4, keep_full_log=True)
 
     # Reconstruct each round's routing from the counter-based streams.
-    pair_prob = cfg.source.pair_prob
     ab_mask = np.zeros(rounds, dtype=bool)
     created_total = 0
     aa_bb_total = 0
+    kernel = _RoundKernel(cfg, mub_set(2))
+    buf = kernel.buffer()
     n_chunks = (rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
     for chunk in range(n_chunks):
-        rng = _chunk_rng(cfg.seed, chunk)
-        u = rng.random((8, CHUNK_ROUNDS))
         n = min(CHUNK_ROUNDS, rounds - chunk * CHUNK_ROUNDS)
-        created = u[0, :n] < pair_prob
-        route = u[1, :n]
+        created, v = kernel.draw(chunk, n, buf)
+        arm = kernel.route(v)  # 0: one photon in each arm
         lo = chunk * CHUNK_ROUNDS
-        ab_mask[lo : lo + n] = created & (route < 0.5)
-        created_total += int(created.sum())
-        aa_bb_total += int((created & (route >= 0.5)).sum())
+        ab_mask[lo + created[arm == 0]] = True
+        created_total += len(created)
+        aa_bb_total += int((arm != 0).sum())
 
     frac_ab = (created_total - aa_bb_total) / created_total
     se = math.sqrt(0.5 * 0.5 / created_total)

@@ -12,7 +12,9 @@ from mubqkd.protocol import (
     LOG_DTYPE,
     ProtocolConfig,
     SessionRecord,
-    _EbChunkModel,
+    _RoundKernel,
+    _draw_setting,
+    _setting_table,
     default_basis_bias,
     estimate_parameters,
     expected_count_matrix,
@@ -93,6 +95,19 @@ def test_sample_setting_respects_bias():
     assert abs(np.mean(elems) - 0.5) < 0.03
     with pytest.raises(ConfigError):
         sample_setting((1.0,), mubs, rng)
+
+
+def test_setting_draw_matches_searchsorted():
+    # Basis 1 has zero weight: its settings 3..5 must never be drawn.
+    table = _setting_table((0.5, 0.0, 0.3, 0.2), 3)
+    u = np.concatenate(
+        [np.random.default_rng(2).random(20_000), table[:-1], [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    got = _draw_setting(table, u)
+    assert np.array_equal(got, np.searchsorted(table, u, side="right"))
+    assert got.max() == 11 and not np.isin(got, [3, 4, 5]).any()
+    stride = np.stack([u, u], axis=1)[:, 1]  # a column of a round-major block
+    assert np.array_equal(_draw_setting(table, stride), got)
 
 
 def test_pm_effective_overlaps_ideal():
@@ -180,6 +195,72 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(one.log, four.log)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_full_log_changes_neither_counts_nor_coincident_rows(mode, workers):
+    rounds = 2 * CHUNK_ROUNDS + 1000  # the last chunk is partial
+    if mode == "eb":
+        cfg = eb_config(dim=3, rounds=rounds, seed=61, visibility=0.9)
+        run = run_eb_session
+    else:
+        cfg = ProtocolConfig(dim=3, mode="pm", rounds=rounds, seed=61, flip_prob=0.05)
+        run = run_pm_session
+    mubs = mub_set(3)
+    short = run(cfg, mubs, workers=workers)
+    full = run(cfg, mubs, workers=workers, keep_full_log=True)
+    for name in ("singles_a", "singles_b", "coincidences"):
+        assert np.array_equal(getattr(short.counts, name), getattr(full.counts, name))
+    assert short.log_scope == "coincident" and full.log_scope == "full"
+    assert np.array_equal(full.log["round"], np.arange(rounds))
+    assert short.log.tobytes() == full.log[full.log["coincidence"]].tobytes()
+    # Every round of the full log, with or without a pair, follows the bias.
+    for field in ("basis_a", "basis_b"):
+        frac = np.mean(full.log[field] == 0)
+        assert abs(frac - 0.9) < 5 * np.sqrt(0.9 * 0.1 / rounds)
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+@pytest.mark.parametrize("d", [2, 5, 7])
+def test_counts_fit_model_with_uneven_efficiencies_and_bias(d, mode):
+    rng = np.random.default_rng(d)
+    table = EfficiencyTable(
+        dim=d,
+        eta_a=rng.uniform(0.3, 0.9, (d + 1, d)),
+        eta_b=rng.uniform(0.3, 0.9, (d + 1, d)),
+    )
+    weights = np.linspace(1.0, 3.0, d + 1)
+    common = dict(dim=d, seed=17, efficiencies=table,
+                  basis_bias=tuple(weights / weights.sum()))
+    mubs = mub_set(d)
+    if mode == "eb":
+        cfg = eb_config(rounds=4_000_000, visibility=0.9, **common)
+        got = run_eb_session(cfg, mubs).counts
+    else:
+        cfg = ProtocolConfig(mode="pm", rounds=1_000_000, flip_prob=0.1, **common)
+        got = run_pm_session(cfg, mubs).counts
+    want = expected_count_matrix(cfg, mubs)
+
+    # Cells: singles per own setting, and coincidences per basis pair with
+    # equal or unequal elements.  They keep every per-setting weight and the
+    # element correlation.  Across all 3 (d(d+1))^2 setting-pair cells, a
+    # 5-SE limit would trip on several percent of seeds at d = 7; on these
+    # cells a correct sampler trips on under 0.2% (exact Poisson tails).
+    same = np.eye(d)
+
+    def cells(c):
+        cc = c.coincidences
+        return (
+            c.singles_a.sum(axis=(2, 3)),
+            c.singles_b.sum(axis=(0, 1)),
+            np.einsum("iajb,ab->ij", cc, same),
+            np.einsum("iajb,ab->ij", cc, 1.0 - same),
+        )
+
+    for obs, mu in zip(cells(got), cells(want)):
+        pull = np.abs(obs - mu) / np.sqrt(np.maximum(mu, 1.0))
+        assert pull.max() < 5.0
+
+
 def test_same_seed_reproduces_different_seed_differs():
     cfg = eb_config(rounds=80_000, seed=4, visibility=0.9)
     mubs = mub_set(2)
@@ -205,24 +286,19 @@ def test_partial_chunk_boundary():
 
 
 def test_one_arm_routing_never_produces_coincidences():
-    # White-box kernel check: force creation and one-arm routing, then
-    # hand the click slots certain hits; the other arm must stay silent.
+    # White-box kernel check: force one-arm routing on created pairs, then
+    # hand the click variates certain hits; the other arm must stay silent.
     cfg = eb_config(rounds=10, seed=0)
-    model = _EbChunkModel(cfg, mub_set(2))
+    kernel = _RoundKernel(cfg, mub_set(2))
     n = 64
-    u = np.zeros((8, n))
-    u[0] = 0.0  # always create a pair
-    u[1, : n // 2] = 0.6  # both photons to arm A
-    u[1, n // 2 :] = 0.9  # both photons to arm B
-    u[6] = 0.0  # A-side click variate would fire if allowed
-    u[7] = 0.0  # B-side click variate would fire if allowed
-    sa, sb, cc, log = model.run(u, 0, keep_full=True)
-    assert cc.sum() == 0
-    assert log["coincidence"].sum() == 0
-    a_half = log[: n // 2]
-    b_half = log[n // 2 :]
-    assert a_half["click_a"].all() and not a_half["click_b"].any()
-    assert b_half["click_b"].all() and not b_half["click_a"].any()
+    v = np.zeros((n, 5))  # route, setting_a, setting_b, click_a, click_b
+    v[: n // 2, 0] = 0.6  # both photons to arm A
+    v[n // 2 :, 0] = 0.9  # both photons to arm B
+    _, _, click_a, click_b = kernel.clicks(v)  # click variates 0: fire if allowed
+    coinc = click_a & click_b
+    assert coinc.sum() == 0
+    assert click_a[: n // 2].all() and not click_b[: n // 2].any()
+    assert click_b[n // 2 :].all() and not click_a[n // 2 :].any()
 
 
 def test_pm_exact_mode_blocks():
