@@ -6,15 +6,18 @@ Z and X are the generalized phase and shift operators.  Dimension 4 is not
 prime; its set is built instead from five commuting classes of two-qubit
 Pauli operators whose joint eigenbases are pairwise unbiased.
 
-Two bases {|e_i>} and {|f_j>} are mutually unbiased when every cross
-overlap satisfies |<e_i|f_j>|^2 = 1/d.
+A MubSet stacks its vectors once into the read-only (n_b, d, d) array
+``_stack``, indexed [basis, element, amplitude].  Every overlap in the package derives from
+its Gram tensor G[i, k, j, m] = <e_ik|e_jm>: the set is orthonormal when
+each diagonal block G[i, :, i, :] is the identity, and mutually unbiased
+when every off-diagonal block satisfies |G|^2 = 1/d.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -121,6 +124,9 @@ class MubSet:
             )
         if any(b.dim != self.dim for b in bases):
             raise DimensionError("basis dimension does not match set dimension")
+        stack = np.array([[v.amplitudes for v in b.vectors] for b in bases])
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
         if check:
             report = unbiasedness_report(self)
             if report.max_unbiased_deviation > UNBIASEDNESS_TOL:
@@ -152,6 +158,11 @@ def orthonormality_defect(basis: Basis) -> float:
     return float(np.max(np.abs(gram - np.eye(basis.dim))))
 
 
+def _gram(mubs: MubSet) -> np.ndarray:
+    """Gram tensor G[i, k, j, m] = <e_ik|e_jm> of every vector pair in the set."""
+    return np.einsum("ikx,jmx->ikjm", mubs._stack.conj(), mubs._stack)
+
+
 def unbiasedness_report(mubs: MubSet) -> UnbiasednessReport:
     """Measure how far a set is from being mutually unbiased.
 
@@ -160,16 +171,13 @@ def unbiasedness_report(mubs: MubSet) -> UnbiasednessReport:
     bases.  A well-formed complete set keeps both below the module
     tolerances.
     """
-    d = mubs.dim
-    target = 1.0 / d
-    max_dev = 0.0
-    mats = [b.matrix for b in mubs.bases]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            overlaps = np.abs(mats[i].conj().T @ mats[j]) ** 2
-            max_dev = max(max_dev, float(np.max(np.abs(overlaps - target))))
-    max_defect = max(orthonormality_defect(b) for b in mubs.bases)
-    return UnbiasednessReport(max_dev, max_defect)
+    g = _gram(mubs)
+    n_b, d = g.shape[:2]
+    same = np.eye(n_b, dtype=bool)[:, None, :, None]
+    eye = np.eye(n_b * d).reshape(g.shape)
+    max_dev = np.max(np.abs(np.abs(g) ** 2 - 1.0 / d), where=~same, initial=0.0)
+    max_defect = np.max(np.abs(g - eye), where=same, initial=0.0)
+    return UnbiasednessReport(float(max_dev), float(max_defect))
 
 
 def weyl_z(d: int) -> np.ndarray:

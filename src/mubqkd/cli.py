@@ -29,7 +29,6 @@ from .errors import (
 )
 from .photonics import (
     CountRecord,
-    EfficiencyTable,
     SourceParams,
     efficiency_uniformity,
     estimate_efficiency,

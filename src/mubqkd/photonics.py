@@ -15,7 +15,7 @@ eta = 2 * coincidences / singles_partner, independent of the pump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

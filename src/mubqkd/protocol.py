@@ -34,7 +34,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bases import MubSet
+from .bases import MubSet, _gram
 from .counts import CountMatrix
 from .errors import ConfigError, DimensionError
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
@@ -242,8 +242,7 @@ class _RoundKernel:
         eb = np.asarray(cfg.efficiencies.eta_b, dtype=np.float64).reshape(n_s)
         if cfg.mode == "pm":
             self.width, self.draw, self.clicks = 3, self._draw_pm, self._pm_clicks
-            ov = pm_effective_overlaps(mubs, cfg.flip_prob).reshape(n_s, n_s)
-            self.thr_b = (ov * eb).ravel()
+            self.thr_b = (_cell_probs(cfg, mubs).reshape(n_s, n_s) * eb).ravel()
             return
         self.width, self.draw, self.clicks = 1, self._draw_eb, self._eb_clicks
         self.pair_prob = cfg.source.pair_prob
@@ -255,8 +254,7 @@ class _RoundKernel:
         # with A so the pairwise rate is eta_a eta_b d p_joint / 2; on AA
         # it never fires; on BB both photons reach B.  Efficiencies are
         # positive and at most about 1, so 1 - eta_a / 2 is never near zero.
-        pj = joint_prob_matrix(isotropic_state(d, cfg.visibility), mubs).probs
-        given_a = eb * d * pj.reshape(n_s, n_s)
+        given_a = eb * _cell_probs(cfg, mubs).reshape(n_s, n_s)
         joint = ea[:, None] / 2.0 * given_a
         given_not_a = (eb / 2.0 - joint) / (1.0 - ea[:, None] / 2.0)
         self.thr_b = np.zeros((3, 2, n_s * n_s))
@@ -349,19 +347,22 @@ def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:
     With probability flip_prob the prepared state is replaced by a uniformly
     random other element of the same basis before Bob's filter.
     """
-    d, n_b = mubs.dim, mubs.n_bases
-    ov = np.empty((n_b, d, n_b, d))
-    mats = [b.matrix for b in mubs.bases]
-    for i in range(n_b):
-        for j in range(n_b):
-            ov[i, :, j, :] = np.abs(mats[i].conj().T @ mats[j]) ** 2
+    ov = np.abs(_gram(mubs)) ** 2
     if flip_prob > 0.0:
-        flipped = np.empty_like(ov)
-        for k in range(d):
-            others = [k2 for k2 in range(d) if k2 != k]
-            flipped[:, k] = np.mean(ov[:, others], axis=1)
+        flipped = (ov.sum(axis=1, keepdims=True) - ov) / (mubs.dim - 1)
         ov = (1.0 - flip_prob) * ov + flip_prob * flipped
     return ov
+
+
+def _cell_probs(cfg: ProtocolConfig, mubs: MubSet) -> np.ndarray:
+    """Per setting pair, the probability that Bob's filter passes given Alice's side.
+
+    EB: d p_joint of the isotropic state (Alice's filter alone passes with
+    probability 1/d).  PM: the prepared-state overlaps after the flip channel.
+    """
+    if cfg.mode == "pm":
+        return pm_effective_overlaps(mubs, cfg.flip_prob)
+    return cfg.dim * joint_prob_matrix(isotropic_state(cfg.dim, cfg.visibility), mubs).probs
 
 
 def _run_chunked(
@@ -498,18 +499,15 @@ def expected_count_matrix(cfg: ProtocolConfig, mubs: MubSet) -> CountMatrix:
     ).reshape(n_b, d, n_b, d)
     eta_a = np.asarray(cfg.efficiencies.eta_a)[:, :, None, None]
     eta_b = np.asarray(cfg.efficiencies.eta_b)[None, None, :, :]
-
+    cells = _cell_probs(cfg, mubs)
     if cfg.mode == "eb":
         pair = cfg.source.pair_prob
-        rho = isotropic_state(d, cfg.visibility)
-        pj = joint_prob_matrix(rho, mubs).probs
         singles_a = cfg.rounds * p_setting * pair * eta_a / 2.0
         singles_b = cfg.rounds * p_setting * pair * eta_b / 2.0
-        coinc = cfg.rounds * p_setting * pair * eta_a * eta_b * d * pj / 4.0
+        coinc = cfg.rounds * p_setting * pair * eta_a * eta_b * cells / 4.0
     else:
-        ov = pm_effective_overlaps(mubs, cfg.flip_prob)
         singles_a = cfg.rounds * p_setting
-        coinc = singles_a * eta_b * ov
+        coinc = singles_a * eta_b * cells
         singles_b = coinc.copy()
 
     return CountMatrix(

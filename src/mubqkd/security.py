@@ -23,7 +23,7 @@ import numpy as np
 from .bases import Basis, MubSet
 from .counts import CountMatrix
 from .errors import CountDataError, DimensionError, NumericError
-from .states import DensityOperator, conjugate_ket, joint_prob
+from .states import DensityOperator, _pair_probs
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -128,13 +128,8 @@ def isotropic_joint_distribution(d: int, q: float) -> Distribution:
 
 def qber_per_basis(rho: DensityOperator, basis: Basis) -> float:
     """Error probability in one basis: both filters pass, elements differ."""
-    total = 0.0
-    for k, vec in enumerate(basis.vectors):
-        filt = conjugate_ket(vec)
-        for m, other in enumerate(basis.vectors):
-            if m != k:
-                total += joint_prob(rho, filt, other)
-    return total
+    p = _pair_probs(rho, basis.matrix.T)
+    return float(np.sum(p, where=~np.eye(len(p), dtype=bool)))
 
 
 def average_qber(rho: DensityOperator, mubs: MubSet) -> float:

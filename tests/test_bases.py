@@ -189,6 +189,29 @@ def test_mubset_unbiasedness_enforced():
         MubSet(dim=2, bases=(b, b, b))
 
 
+def test_unbiasedness_report_matches_pairwise_loop_on_repeated_basis():
+    b = mub_set(3).bases
+    eye = np.eye(3)
+    skew = Basis(
+        label="skew",
+        vectors=(Ket(eye[0]), Ket((eye[0] + eye[1]) / np.sqrt(2)), Ket(eye[2])),
+        check=False,
+    )
+    mubs = MubSet(dim=3, bases=(b[0], b[1], b[1], skew), check=False)
+    mats = [basis.matrix for basis in mubs.bases]
+    max_dev = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            overlaps = np.abs(mats[i].conj().T @ mats[j]) ** 2
+            max_dev = max(max_dev, float(np.max(np.abs(overlaps - 1 / 3))))
+    max_defect = max(orthonormality_defect(basis) for basis in mubs.bases)
+    report = unbiasedness_report(mubs)
+    assert max_dev == pytest.approx(2 / 3, abs=1e-12)
+    assert max_defect == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert abs(report.max_unbiased_deviation - max_dev) < 1e-15
+    assert abs(report.max_orthonormality_defect - max_defect) < 1e-15
+
+
 def test_orthonormality_defect_zero_for_good_basis():
     assert orthonormality_defect(standard_basis(3)) < 1e-15
 

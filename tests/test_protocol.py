@@ -133,6 +133,22 @@ def test_pm_effective_overlaps_flip_channel():
     assert np.allclose(ov[0, :, 1, :], 0.5, atol=1e-12)
 
 
+def test_pm_effective_overlaps_flip_matches_per_element_loop():
+    d, p = 5, 0.3
+    mubs = mub_set(d)
+    mats = [b.matrix for b in mubs.bases]
+    ov = np.empty((d + 1, d, d + 1, d))
+    for i in range(d + 1):
+        for j in range(d + 1):
+            ov[i, :, j, :] = np.abs(mats[i].conj().T @ mats[j]) ** 2
+    flipped = np.empty_like(ov)
+    for k in range(d):
+        others = [k2 for k2 in range(d) if k2 != k]
+        flipped[:, k] = np.mean(ov[:, others], axis=1)
+    want = (1.0 - p) * ov + p * flipped
+    assert np.max(np.abs(pm_effective_overlaps(mubs, flip_prob=p) - want)) < 1e-15
+
+
 def test_eb_counts_match_expectation_within_binomial_error():
     cfg = eb_config(
         rounds=400_000,

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mubqkd.bases import mub_set
+from mubqkd.bases import mub_set, standard_basis
 from mubqkd.counts import CountMatrix
-from mubqkd.errors import CountDataError, NumericError
+from mubqkd.errors import CountDataError, DimensionError, NumericError
 from mubqkd.security import (
     Distribution,
     analyze_counts,
@@ -24,7 +24,7 @@ from mubqkd.security import (
     report_csv_rows,
     shannon_entropy,
 )
-from mubqkd.states import isotropic_state
+from mubqkd.states import conjugate_ket, isotropic_state, joint_prob
 
 # Frozen reference values, computed independently from the closed forms
 # r(d, Q) = log2 d + t log2(Q / (d (d-1))) + (1 - t) log2(1 - t) with
@@ -119,6 +119,24 @@ def test_qber_of_isotropic_state_matches_closed_form():
         for basis in mubs.bases:
             assert qber_per_basis(rho, basis) == pytest.approx(want, abs=1e-12)
         assert average_qber(rho, mubs) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_qber_per_basis_matches_kron_loop(d, random_state):
+    rho = random_state(d)
+    for basis in mub_set(d).bases:
+        want = 0.0
+        for k, vec in enumerate(basis.vectors):
+            filt = conjugate_ket(vec)
+            for m, other in enumerate(basis.vectors):
+                if m != k:
+                    want += joint_prob(rho, filt, other)
+        assert abs(qber_per_basis(rho, basis) - want) < 1e-14
+
+
+def test_qber_per_basis_rejects_dimension_mismatch():
+    with pytest.raises(DimensionError):
+        qber_per_basis(isotropic_state(3, 0.9), standard_basis(2))
 
 
 def test_key_rate_zero_error_is_log2_d():

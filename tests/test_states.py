@@ -114,6 +114,22 @@ def test_joint_prob_single_cell_matches_matrix():
     assert abs(joint_prob(rho, a, b) - jm.probs[1, 0, 1, 1]) < 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_joint_prob_matrix_matches_per_entry_oracle(d, random_state):
+    mubs = mub_set(d)
+    rho = random_state(d)
+    jm = joint_prob_matrix(rho, mubs)
+    n_b = d + 1
+    want = np.empty((n_b, d, n_b, d))
+    for i in range(n_b):
+        for k in range(d):
+            a = conjugate_ket(mubs.ket(i, k))
+            for j in range(n_b):
+                for m in range(d):
+                    want[i, k, j, m] = joint_prob(rho, a, mubs.ket(j, m))
+    assert np.max(np.abs(jm.probs - want)) < 1e-14
+
+
 def test_pm_overlap_prob():
     mubs = mub_set(2)
     same = pm_overlap_prob(mubs.ket(0, 0), mubs.ket(0, 0))
