@@ -36,28 +36,33 @@ from .photonics import (
     save_efficiency_table,
 )
 from .protocol import (
-    CHUNK_ROUNDS,
     ProtocolConfig,
+    _run_chunked,
     default_basis_bias,
-    run_eb_session,
-    run_pm_session,
+    expected_count_matrix,
 )
 from .security import analyze_counts, key_rate, q_max, report_csv_rows
 from .states import visibility_for_qber
 
 
-def _atomic_write(path, writer) -> None:
-    """Run writer(temp_path) on a temp file beside path, then rename into place."""
+def _atomic_write(path, writer):
+    """Run writer(temp_path) on a temp file beside path, then rename into place.
+
+    The file gets the umask's mode, not mkstemp's 0600.  Returns what writer returns.
+    """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
     os.close(fd)
     try:
-        writer(Path(tmp))
+        result = writer(Path(tmp))
+        os.umask(umask := os.umask(0))  # reads the umask: there is no getter
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return result
 
 
 # Every field after the round is one digit: indices below 10 and 0/1 flags.
@@ -88,13 +93,6 @@ def _format_log_rows(log: np.ndarray) -> bytes:
         block[:, -1] = ord("\n")
         out.append(block.tobytes())
     return b"".join(out)
-
-
-def _write_log(log: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_LOG_HEADER.encode("ascii"))
-        for start in range(0, len(log), CHUNK_ROUNDS):
-            fh.write(_format_log_rows(log[start : start + CHUNK_ROUNDS]))
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -239,20 +237,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     log_path = opts.get("log")
     exact = bool(opts.get("exact", False))
 
-    if mode == "eb":
+    if exact and mode == "eb":
+        raise ConfigError("exact mode is only available for prepare-and-measure runs")
+
+    def simulate(take_rows=lambda rows: None):
         if exact:
-            raise ConfigError("exact mode is only available for prepare-and-measure runs")
-        session = run_eb_session(cfg, mubs, workers=workers, keep_full_log=bool(log_path))
-    else:
-        session = run_pm_session(
-            cfg, mubs, workers=workers, keep_full_log=bool(log_path), exact=exact
-        )
+            counts = expected_count_matrix(cfg, mubs)
+        else:
+            counts = _run_chunked(cfg, mubs, workers, bool(log_path), take_rows)
+        _atomic_write(out, lambda tmp: save_counts(counts, tmp))
+        return counts
 
-    _atomic_write(out, lambda tmp: save_counts(session.counts, tmp))
-    if log_path:
-        _atomic_write(log_path, lambda tmp: _write_log(session.log, tmp))
+    def stream_log(tmp):
+        # The counts are written before the log is renamed: a failed run leaves no log.
+        with open(tmp, "wb") as fh:
+            fh.write(_LOG_HEADER.encode("ascii"))
+            return simulate(lambda rows: fh.write(_format_log_rows(rows)))
 
-    total = session.counts.total_coincidences()
+    counts = _atomic_write(log_path, stream_log) if log_path else simulate()
+
+    total = counts.total_coincidences()
     print(
         f"simulated {rounds} {mode} rounds (d={d}, seed={seed}): "
         f"{total:g} coincidences -> {out}"

@@ -2,9 +2,9 @@
 
 Each pump pulse is one protocol round.  Randomness is counter-based: the
 rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed by
-(seed, c), so any shard of chunks can be computed on any worker and merged
-by chunk index into a bit-identical session.  One round kernel serves both
-modes and draws only what a round reads (see _RoundKernel):
+(seed, c), so chunks run on any worker and are handed on in chunk order
+(_run_chunked).  One round kernel serves both modes and draws only what a
+round reads (see _RoundKernel):
 
 * EB: one creation uniform per round for the whole chunk, then five
   uniforms (route, setting_a, setting_b, click_a, click_b) for each round
@@ -27,9 +27,12 @@ but never a coincidence.
 
 from __future__ import annotations
 
+import queue
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -42,19 +45,6 @@ from .states import isotropic_state, joint_prob_matrix
 
 CHUNK_ROUNDS = 1 << 16
 FULL_LOG_WARN_ROUNDS = 10**7
-
-# A logged round while the session runs: 6 bytes, the row within its
-# chunk (CHUNK_ROUNDS fits uint16), both flat settings (under 56 for every
-# supported d) and both clicks.
-_PART_DTYPE = np.dtype(
-    [
-        ("row", np.uint16),
-        ("s_a", np.uint8),
-        ("s_b", np.uint8),
-        ("click_a", np.bool_),
-        ("click_b", np.bool_),
-    ]
-)
 
 LOG_DTYPE = np.dtype(
     [
@@ -299,11 +289,11 @@ class _RoundKernel:
     def cell(self, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
         return s_a.astype(np.intp) * self.n_s + s_b
 
-    def run(self, chunk: int, n: int, buf: np.ndarray, keep_full: bool, dest: np.ndarray):
+    def run(self, chunk: int, n: int, keep_full: bool, buf: np.ndarray, dest: np.ndarray):
         """Tally one chunk and write its logged rounds to the front of dest.
 
-        dest has _PART_DTYPE.  Returns (singles_a, singles_b, coincidences)
-        over the flat cells and the number of rows written.
+        dest is a LOG_DTYPE block of at least n rows.  Returns (singles_a,
+        singles_b, coincidences) over the flat cells and the rows written.
         """
         rows, v = self.draw(chunk, n, buf)
         s_a, s_b, click_a, click_b = self.clicks(v)
@@ -316,9 +306,8 @@ class _RoundKernel:
         if not keep_full:
             # Gathering by index is several times faster than boolean masking here.
             hit = np.flatnonzero(click_a & click_b)
-            rows, s_a, s_b, click_a, click_b = (
-                x[hit] for x in (rows, s_a, s_b, click_a, click_b)
-            )
+            rows, s_a, s_b = rows[hit], s_a[hit], s_b[hit]
+            click_a = click_b = True  # every kept round is a coincidence
         elif len(rows) < n:
             # EB rounds without a pair: settings from sub-stream 1, no clicks.
             idle = np.ones(n, dtype=bool)
@@ -335,9 +324,12 @@ class _RoundKernel:
             s_b = spread(s_b, _draw_setting(self.table, u[:, 1]))
             click_a, click_b = spread(click_a, False), spread(click_b, False)
             rows = np.arange(n)
-        part = dest[: len(rows)]
-        part["row"], part["s_a"], part["s_b"] = rows, s_a, s_b
-        part["click_a"], part["click_b"] = click_a, click_b
+        block = dest[: len(rows)]
+        np.add(rows, chunk * CHUNK_ROUNDS, out=block["round"])
+        block["basis_a"], block["elem_a"] = np.divmod(s_a, self.d)
+        block["basis_b"], block["elem_b"] = np.divmod(s_b, self.d)
+        block["click_a"], block["click_b"] = click_a, click_b
+        block["coincidence"] = click_a & click_b
         return tallies, len(rows)
 
 
@@ -360,77 +352,95 @@ def _cell_probs(cfg: ProtocolConfig, mubs: MubSet) -> np.ndarray:
     EB: d p_joint of the isotropic state (Alice's filter alone passes with
     probability 1/d).  PM: the prepared-state overlaps after the flip channel.
     """
+    if mubs.dim != cfg.dim:
+        raise DimensionError(
+            f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
+        )
     if cfg.mode == "pm":
         return pm_effective_overlaps(mubs, cfg.flip_prob)
     return cfg.dim * joint_prob_matrix(isotropic_state(cfg.dim, cfg.visibility), mubs).probs
 
 
-def _run_chunked(
-    cfg: ProtocolConfig,
-    kernel: _RoundKernel,
-    workers: int,
-    keep_full_log: bool,
-) -> SessionRecord:
-    if keep_full_log and cfg.rounds >= FULL_LOG_WARN_ROUNDS:
-        warnings.warn(
-            f"keeping a full per-round log for {cfg.rounds} rounds is large; "
-            "consider the coincident-only default",
-            stacklevel=3,
-        )
+def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool, take_rows):
+    """Run the session and return its counts; each chunk's logged rows go to take_rows.
+
+    The rows arrive in chunk order as a LOG_DTYPE block that a later chunk
+    overwrites, so take_rows copies what it keeps.  Worker threads run at
+    most 2 * workers chunks ahead: memory is O(workers * chunk).
+    """
+    if workers < 1:
+        raise ConfigError(f"worker count must be at least 1, got {workers}")
+    kernel = _RoundKernel(cfg, mubs)
     n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
-    workers = max(1, min(workers, n_chunks))
+    workers = min(workers, n_chunks)
+    # Scratch for each chunk in flight: a draw buffer and a block of rows.  It
+    # goes back to the pool once take_rows has seen the rows, so no rows are
+    # copied out, and there is one per window slot, so no chunk waits for one.
+    pool = queue.LifoQueue()
+    for _ in range(2 * workers):
+        pool.put((kernel.buffer(), np.empty(CHUNK_ROUNDS, dtype=LOG_DTYPE)))
 
-    def shard(first: int):
-        # Each worker takes every workers-th chunk.  It owns its draw buffer
-        # and a pool with room for all of its rounds, filled densely with the
-        # logged ones: one allocation, handed back whole after the merge, and
-        # its pages past the rows written are never touched.
-        buf = kernel.buffer()
-        mine = [(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS))
-                for c in range(first, n_chunks, workers)]
-        pool = np.empty(sum(n for _, n in mine), dtype=_PART_DTYPE)
-        out, at = [], 0
-        for c, n in mine:
-            tallies, k = kernel.run(c, n, buf, keep_full_log, pool[at:])
-            out.append((c, tallies, pool[at : at + k]))
-            at += k
-        return out
+    def run(c: int):
+        scratch = pool.get()
+        n = min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS)
+        tallies, k = kernel.run(c, n, keep_full_log, *scratch)
+        return tallies, scratch, k
 
-    if workers == 1:
-        shards = [shard(0)]
-    else:
+    def threaded():
+        # A sliding window, not one map per batch: no batch waits on its slowest chunk.
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            shards = list(executor.map(shard, range(workers)))
+            futures = (executor.submit(run, c) for c in range(n_chunks))
+            window = deque(islice(futures, 2 * workers))
+            while window:
+                yield window.popleft().result()
+                window.extend(islice(futures, 1))
 
     totals = np.zeros((3, kernel.n_s**2), dtype=np.int64)
-    parts = [None] * n_chunks
-    for results in shards:
-        for c, tallies, part in results:
-            totals += tallies
-            parts[c] = part
-
-    log = np.empty(sum(len(p) for p in parts), dtype=LOG_DTYPE)
-    start = 0
-    for c, part in enumerate(parts):
-        block = log[start : start + len(part)]
-        block["round"] = part["row"]
-        block["round"] += c * CHUNK_ROUNDS
-        block["basis_a"], block["elem_a"] = np.divmod(part["s_a"], cfg.dim)
-        block["basis_b"], block["elem_b"] = np.divmod(part["s_b"], cfg.dim)
-        block["click_a"] = part["click_a"]
-        block["click_b"] = part["click_b"]
-        block["coincidence"] = part["click_a"] & part["click_b"]
-        start += len(part)
+    for tallies, scratch, k in map(run, range(n_chunks)) if workers == 1 else threaded():
+        totals += tallies
+        take_rows(scratch[1][:k])
+        pool.put(scratch)
 
     n_b, d = cfg.dim + 1, cfg.dim
     singles_a, singles_b, coinc = totals.reshape(3, n_b, d, n_b, d).astype(np.float64)
-    counts = CountMatrix(
+    return CountMatrix(
         dim=cfg.dim,
         singles_a=singles_a,
         singles_b=singles_b,
         coincidences=coinc,
         metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed},
     )
+
+
+def _session(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool):
+    """Counts plus the in-memory log, the library's consumer of _run_chunked.
+
+    Rows move as uint8 views: a copy of the packed records goes field by field.
+    """
+    if keep_full_log:
+        if cfg.rounds >= FULL_LOG_WARN_ROUNDS:
+            warnings.warn(
+                f"keeping a full per-round log for {cfg.rounds} rounds is large; "
+                "consider the coincident-only default",
+                stacklevel=3,
+            )
+        log = np.empty(cfg.rounds, dtype=LOG_DTYPE)  # one row per round, filled in place
+
+        def take_rows(rows):
+            first = rows["round"][0]
+            log[first : first + len(rows)].view(np.uint8)[:] = rows.view(np.uint8)
+
+    else:
+        # Exact-size blocks joined once: numpy asks for huge pages on large
+        # arrays, so a rounds-sized buffer would take more than the rows fill.
+        blocks = []
+
+        def take_rows(rows):
+            blocks.append(rows.view(np.uint8).copy())
+
+    counts = _run_chunked(cfg, mubs, workers, keep_full_log, take_rows)
+    if not keep_full_log:
+        log = np.concatenate(blocks).view(LOG_DTYPE)
     return SessionRecord(
         config=cfg,
         counts=counts,
@@ -448,11 +458,7 @@ def run_eb_session(
     """Simulate an entanglement-based session round by round."""
     if cfg.mode != "eb":
         raise ConfigError(f"config mode is {cfg.mode!r}, expected 'eb'")
-    if mubs.dim != cfg.dim:
-        raise DimensionError(
-            f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
-        )
-    return _run_chunked(cfg, _RoundKernel(cfg, mubs), workers, keep_full_log)
+    return _session(cfg, mubs, workers, keep_full_log)
 
 
 def run_pm_session(
@@ -470,12 +476,8 @@ def run_pm_session(
     """
     if cfg.mode != "pm":
         raise ConfigError(f"config mode is {cfg.mode!r}, expected 'pm'")
-    if mubs.dim != cfg.dim:
-        raise DimensionError(
-            f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
-        )
     if not exact:
-        return _run_chunked(cfg, _RoundKernel(cfg, mubs), workers, keep_full_log)
+        return _session(cfg, mubs, workers, keep_full_log)
 
     counts = expected_count_matrix(cfg, mubs)
     return SessionRecord(
@@ -488,10 +490,6 @@ def run_pm_session(
 
 def expected_count_matrix(cfg: ProtocolConfig, mubs: MubSet) -> CountMatrix:
     """Analytic per-cell expectations of the session's count matrix."""
-    if mubs.dim != cfg.dim:
-        raise DimensionError(
-            f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
-        )
     d, n_b = cfg.dim, cfg.dim + 1
     bias = np.asarray(cfg.basis_bias)
     p_setting = np.einsum(

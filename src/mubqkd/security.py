@@ -23,7 +23,7 @@ import numpy as np
 from .bases import Basis, MubSet
 from .counts import CountMatrix
 from .errors import CountDataError, DimensionError, NumericError
-from .states import DensityOperator, _pair_probs
+from .states import DensityOperator, _pair_probs, joint_prob_matrix
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -134,7 +134,9 @@ def qber_per_basis(rho: DensityOperator, basis: Basis) -> float:
 
 def average_qber(rho: DensityOperator, mubs: MubSet) -> float:
     """Protocol-wide error rate: mean of the per-basis rates over all d+1 bases."""
-    rates = [qber_per_basis(rho, basis) for basis in mubs.bases]
+    probs = joint_prob_matrix(rho, mubs).probs
+    same = probs[range(mubs.n_bases), :, range(mubs.n_bases), :]  # (basis, a, b)
+    rates = np.sum(same, axis=(1, 2), where=~np.eye(mubs.dim, dtype=bool))
     return float(np.mean(rates))
 
 
@@ -170,8 +172,8 @@ def key_rate(d: int, q: float) -> float:
     """Asymptotic secret fraction of the d-dimensional protocol at error rate q."""
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
-    if q < 0:
-        raise ValueError(f"error rate must be nonnegative, got {q}")
+    if not q >= 0:  # also rejects NaN
+        raise ValueError(f"error rate must be a nonnegative number, got {q}")
     t = (d + 1) / d * q
     if t >= 1.0:
         raise ValueError(

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from mubqkd import cli
+from mubqkd import ProtocolConfig, cli, mub_set, run_eb_session, run_pm_session
 from mubqkd.bases import load_bases
 from mubqkd.counts import load_counts
 from mubqkd.errors import NumericError
+from mubqkd.protocol import CHUNK_ROUNDS
 
 
 def run_cli(*argv):
@@ -192,18 +196,18 @@ def _oracle_log(log):
 
 
 def _simulate_capturing_session(monkeypatch, *argv):
-    sessions = []
+    """Run simulate, then the same config through the library with a full log."""
+    configs = []
 
-    def capture(run):
-        def wrapped(*args, **kwargs):
-            sessions.append(run(*args, **kwargs))
-            return sessions[-1]
-        return wrapped
+    def capture(**kwargs):
+        configs.append(ProtocolConfig(**kwargs))
+        return configs[-1]
 
-    monkeypatch.setattr(cli, "run_eb_session", capture(cli.run_eb_session))
-    monkeypatch.setattr(cli, "run_pm_session", capture(cli.run_pm_session))
+    monkeypatch.setattr(cli, "ProtocolConfig", capture)
     assert run_cli("simulate", *argv) == 0
-    return sessions[0]
+    cfg = configs[0]
+    run = run_eb_session if cfg.mode == "eb" else run_pm_session
+    return run(cfg, mub_set(cfg.dim), keep_full_log=True)
 
 
 # 100_001 rounds cross both the 65535/65536 chunk edge and the
@@ -222,6 +226,33 @@ def test_log_file_matches_row_oracle(tmp_path, monkeypatch, mode, dim, rounds):
     assert len(session.log) == rounds
     assert session.log["coincidence"].any()
     assert log.read_bytes() == _oracle_log(session.log)
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_log_bytes_do_not_change_with_workers(tmp_path, mode):
+    rounds = 3 * CHUNK_ROUNDS + 17
+    logs = []
+    for workers in (1, 2, 3):
+        log = tmp_path / f"rounds{workers}.csv"
+        code = run_cli(
+            "simulate", "--mode", mode, "--dim", "3", "--rounds", str(rounds),
+            "--seed", "12", "--workers", str(workers),
+            "--out", str(tmp_path / f"c{workers}.csv"), "--log", str(log),
+        )
+        assert code == 0
+        logs.append(log.read_bytes())
+    assert logs[0].count(b"\n") == rounds + 1
+    assert logs[1] == logs[0] and logs[2] == logs[0]
+
+
+def test_failed_counts_write_leaves_no_log(tmp_path):
+    log = tmp_path / "rounds.csv"
+    code = run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1",
+        "--out", str(tmp_path / "missing" / "c.csv"), "--log", str(log),
+    )
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exact_pm_log_is_header_only(tmp_path):
@@ -302,3 +333,40 @@ def test_numeric_failures_exit_two(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "q_max", boom)
     assert run_cli("keyrate", "--dim", "2", "--qber", "0.01") == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "c.csv"
+    code = run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "1000",
+        "--seed", "1", "--workers", workers, "--out", str(out),
+        "--log", str(tmp_path / "rounds.csv"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "worker" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_keyrate_rejects_nan_error_rate(capsys):
+    assert run_cli("keyrate", "--dim", "3", "--qber", "nan") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_output_files_follow_umask(tmp_path):
+    out, log = tmp_path / "c.csv", tmp_path / "rounds.csv"
+    old = os.umask(0o022)
+    try:
+        code = run_cli(
+            "simulate", "--mode", "pm", "--dim", "2", "--rounds", "1000",
+            "--seed", "3", "--out", str(out), "--log", str(log),
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    assert stat.S_IMODE(log.stat().st_mode) == 0o644

@@ -1,5 +1,8 @@
 """Tests for the round-by-round session simulators and sifting chain."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,36 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(one.counts.singles_b, four.counts.singles_b)
     assert np.array_equal(one.counts.coincidences, four.counts.coincidences)
     assert np.array_equal(one.log, four.log)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_rejected(workers):
+    cfg = eb_config(rounds=1000, seed=50)
+    with pytest.raises(ConfigError, match="worker"):
+        run_eb_session(cfg, mub_set(2), workers=workers)
+
+
+def test_threaded_stream_under_frequent_thread_switches():
+    # More workers than cores and a tiny switch interval: a block handed back
+    # to the pool too early, or results out of order, would change the log.
+    cfg = ProtocolConfig(dim=3, mode="pm", rounds=9 * CHUNK_ROUNDS + 5, seed=70)
+    mubs = mub_set(3)
+    want = run_pm_session(cfg, mubs, keep_full_log=True)
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(run_pm_session(cfg, mubs, workers=5, keep_full_log=True)),
+        daemon=True,
+    )
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive()
+    assert got[0].log.tobytes() == want.log.tobytes()
+    assert np.array_equal(got[0].counts.coincidences, want.counts.coincidences)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -134,6 +134,14 @@ def test_qber_per_basis_matches_kron_loop(d, random_state):
         assert abs(qber_per_basis(rho, basis) - want) < 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_average_qber_matches_per_basis_mean(d, random_state):
+    rho = random_state(d)
+    mubs = mub_set(d)
+    want = np.mean([qber_per_basis(rho, basis) for basis in mubs.bases])
+    assert abs(average_qber(rho, mubs) - want) < 1e-15
+
+
 def test_qber_per_basis_rejects_dimension_mismatch():
     with pytest.raises(DimensionError):
         qber_per_basis(isotropic_state(3, 0.9), standard_basis(2))
