@@ -2,9 +2,9 @@
 
 Subcommands: gen-bases, simulate, analyze, efficiency, keyrate.  Every
 option can also come from a ``--config`` key = value file, with explicit
-command-line flags taking precedence.  Output files are written atomically
-(temp file plus rename).  Exit codes: 0 success, 1 validation problem,
-2 numeric failure.
+command-line flags taking precedence; ``_COMMANDS`` declares both.  Output
+files are written atomically (temp file plus rename).  Exit codes: 0
+success, 1 validation problem, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -126,13 +126,13 @@ def _parse_bool(text: str) -> bool:
 class _Options:
     """Merged view of CLI flags and config-file values, flags first."""
 
-    def __init__(self, args: argparse.Namespace, known: dict[str, object]):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.known = known
+        self.known = _COMMANDS[args.command][2]
         self.config: dict[str, str] = {}
         if getattr(args, "config", None):
             self.config = _load_config_file(args.config)
-            unknown = set(self.config) - set(known)
+            unknown = set(self.config) - set(self.known)
             if unknown:
                 raise ConfigError(
                     f"unknown config keys: {', '.join(sorted(unknown))}"
@@ -158,7 +158,7 @@ def _parse_bias(text: str, d: int) -> tuple[float, ...]:
 
 
 def _cmd_gen_bases(args: argparse.Namespace) -> int:
-    opts = _Options(args, {"dim": int, "out": str})
+    opts = _Options(args)
     d = opts.get("dim", required=True)
     out = opts.get("out", required=True)
     mubs = mub_set(d)
@@ -171,27 +171,8 @@ def _cmd_gen_bases(args: argparse.Namespace) -> int:
     return 0
 
 
-_SIMULATE_KEYS = {
-    "mode": str,
-    "dim": int,
-    "rounds": int,
-    "seed": int,
-    "visibility": float,
-    "target_qber": float,
-    "bias": str,
-    "flip_prob": float,
-    "alpha_sq": float,
-    "chi": float,
-    "eta_file": str,
-    "workers": int,
-    "exact": _parse_bool,
-    "out": str,
-    "log": str,
-}
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _Options(args, _SIMULATE_KEYS)
+    opts = _Options(args)
     mode = opts.get("mode", required=True)
     d = opts.get("dim", required=True)
     rounds = opts.get("rounds", required=True)
@@ -215,8 +196,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     source = None
     if mode == "eb":
+        # A negative round count is left for ProtocolConfig to report by name.
         source = SourceParams(
-            pulses=rounds,
+            pulses=max(rounds, 0),
             alpha_sq=opts.get("alpha_sq", 0.1),
             chi=opts.get("chi", 0.5),
         )
@@ -239,6 +221,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if exact and mode == "eb":
         raise ConfigError("exact mode is only available for prepare-and-measure runs")
+    if workers < 1:  # the session driver checks too, but --exact never reaches it
+        raise ConfigError(f"worker count must be at least 1, got {workers}")
 
     def simulate(take_rows=lambda rows: None):
         if exact:
@@ -265,17 +249,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    opts = _Options(
-        args,
-        {
-            "counts": str,
-            "dim": int,
-            "prob": _parse_bool,
-            "partial": _parse_bool,
-            "out_report": str,
-            "out_csv": str,
-        },
-    )
+    opts = _Options(args)
     counts = load_counts(
         opts.get("counts", required=True),
         dim=opts.get("dim"),
@@ -296,9 +270,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
-    opts = _Options(
-        args, {"counts": str, "dim": int, "prob": _parse_bool, "out": str}
-    )
+    opts = _Options(args)
     counts = load_counts(
         opts.get("counts", required=True),
         dim=opts.get("dim"),
@@ -365,7 +337,7 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
 
 
 def _cmd_keyrate(args: argparse.Namespace) -> int:
-    opts = _Options(args, {"dim": int, "qber": float, "sweep": str, "out": str})
+    opts = _Options(args)
     d = opts.get("dim", required=True)
     qber = opts.get("qber")
     sweep = opts.get("sweep")
@@ -407,64 +379,45 @@ def _cmd_keyrate(args: argparse.Namespace) -> int:
     return 0
 
 
+# Subcommand -> (help, handler, {option: converter}).  Each option is both the
+# flag --option-with-dashes and the config key option_with_underscores; a
+# _parse_bool option is a bare flag.
+_COMMANDS = {
+    "gen-bases": ("write a complete basis set to a file", _cmd_gen_bases,
+                  {"dim": int, "out": str}),
+    "simulate": ("run a Monte Carlo session", _cmd_simulate, {
+        "mode": str, "dim": int, "rounds": int, "seed": int, "visibility": float,
+        "target_qber": float, "bias": str, "flip_prob": float, "alpha_sq": float,
+        "chi": float, "eta_file": str, "workers": int, "exact": _parse_bool,
+        "out": str, "log": str}),
+    "analyze": ("security analysis of a counts file", _cmd_analyze, {
+        "counts": str, "dim": int, "prob": _parse_bool, "partial": _parse_bool,
+        "out_report": str, "out_csv": str}),
+    "efficiency": ("estimate detector efficiencies from counts", _cmd_efficiency,
+                   {"counts": str, "dim": int, "prob": _parse_bool, "out": str}),
+    "keyrate": ("key rate at one error rate or over a sweep", _cmd_keyrate,
+                {"dim": int, "qber": float, "sweep": str, "out": str}),
+}  # fmt: skip
+
+_OPTION_HELP = {"bias": "bias parameter or full comma-separated weights", "sweep": "lo:hi:step"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mubqkd",
         description="Simulate and analyze the unbiased-bases filter protocol.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("gen-bases", help="write a complete basis set to a file")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(handler=_cmd_gen_bases)
-
-    p = sub.add_parser("simulate", help="run a Monte Carlo session")
-    p.add_argument("--mode", choices=("eb", "pm"))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--visibility", type=float)
-    p.add_argument("--target-qber", dest="target_qber", type=float)
-    p.add_argument("--bias", help="bias parameter or full comma-separated weights")
-    p.add_argument("--flip-prob", dest="flip_prob", type=float)
-    p.add_argument("--alpha-sq", dest="alpha_sq", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--eta-file", dest="eta_file")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--exact", action="store_const", const=True)
-    p.add_argument("--out")
-    p.add_argument("--log")
-    p.add_argument("--config")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("analyze", help="security analysis of a counts file")
-    p.add_argument("--counts")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--prob", action="store_const", const=True)
-    p.add_argument("--partial", action="store_const", const=True)
-    p.add_argument("--out-report", dest="out_report")
-    p.add_argument("--out-csv", dest="out_csv")
-    p.add_argument("--config")
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("efficiency", help="estimate detector efficiencies from counts")
-    p.add_argument("--counts")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--prob", action="store_const", const=True)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(handler=_cmd_efficiency)
-
-    p = sub.add_parser("keyrate", help="key rate at one error rate or over a sweep")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--qber", type=float)
-    p.add_argument("--sweep", help="lo:hi:step")
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(handler=_cmd_keyrate)
-
+    for name, (text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for key, convert in options.items():
+            flag = "--" + key.replace("_", "-")
+            if convert is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                p.add_argument(flag, dest=key, type=convert, help=_OPTION_HELP.get(key))
+        p.add_argument("--config")
+        p.set_defaults(handler=handler)
     return parser
 
 

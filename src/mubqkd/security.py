@@ -58,12 +58,7 @@ class Distribution:
 
     def marginal(self, index: int) -> "Distribution":
         """Marginal over one component of tuple-valued labels."""
-        acc: dict[Hashable, float] = {}
-        for label, p in zip(self.labels, self.probs):
-            key = label[index]
-            acc[key] = acc.get(key, 0.0) + float(p)
-        keys = sorted(acc, key=repr)
-        return Distribution(tuple(keys), np.array([acc[k] for k in keys]))
+        return self.pushforward(lambda label: label[index])
 
     def pushforward(self, mapping: Callable) -> "Distribution":
         acc: dict[Hashable, float] = {}

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -349,6 +350,49 @@ def test_simulate_rejects_worker_count_below_one(tmp_path, capsys, workers):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_exact_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    code = run_cli(
+        "simulate", "--mode", "pm", "--dim", "3", "--rounds", "1000",
+        "--seed", "1", "--exact", "--workers", workers,
+        "--out", str(tmp_path / "c.csv"),
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "worker" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_simulate_negative_rounds_names_the_round_count(tmp_path, capsys, mode):
+    out = tmp_path / "c.csv"
+    code = run_cli(
+        "simulate", "--mode", mode, "--dim", "3", "--rounds", "-5",
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: round count must be positive, got -5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_unknown_mode_is_rejected_by_the_library(tmp_path, capsys, source):
+    out = tmp_path / "c.csv"
+    argv = ["simulate", "--dim", "3", "--rounds", "10", "--seed", "1", "--out", str(out)]
+    if source == "flag":
+        argv += ["--mode", "xx"]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text("mode = xx\n")
+        argv += ["--config", str(conf)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: mode must be 'eb' or 'pm', got 'xx'\n"
+    assert not out.exists()
+
+
 def test_keyrate_rejects_nan_error_rate(capsys):
     assert run_cli("keyrate", "--dim", "3", "--qber", "nan") == 1
     captured = capsys.readouterr()
@@ -370,3 +414,81 @@ def test_output_files_follow_umask(tmp_path):
     assert code == 0
     assert stat.S_IMODE(out.stat().st_mode) == 0o644
     assert stat.S_IMODE(log.stat().st_mode) == 0o644
+
+
+# Every option of every subcommand, with one value as typed on the command
+# line.  None marks a bare flag, which a config file spells as a boolean.
+CLI_OPTIONS = {
+    "gen-bases": {"dim": "3", "out": "bases.txt"},
+    "simulate": {
+        "mode": "pm", "dim": "3", "rounds": "1000", "seed": "7",
+        "visibility": "0.9", "target_qber": "0.05", "bias": "0.2",
+        "flip_prob": "0.05", "alpha_sq": "0.1", "chi": "0.5",
+        "eta_file": "eta.txt", "workers": "2", "exact": None,
+        "out": "c.csv", "log": "rounds.csv",
+    },
+    "analyze": {
+        "counts": "c.csv", "dim": "3", "prob": None, "partial": None,
+        "out_report": "report.txt", "out_csv": "report.csv",
+    },
+    "efficiency": {"counts": "c.csv", "dim": "3", "prob": None, "out": "eta.txt"},
+    "keyrate": {"dim": "3", "qber": "0.04", "sweep": "0:0.1:0.02", "out": "k.csv"},
+}  # fmt: skip
+
+
+def _options(*argv):
+    return cli._Options(cli.build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c, keys in CLI_OPTIONS.items() for k in keys]
+)
+def test_flag_and_config_key_reach_the_handler_alike(tmp_path, command, key):
+    value = CLI_OPTIONS[command][key]
+    flag = "--" + key.replace("_", "-")
+    from_flag = _options(command, flag, *([] if value is None else [value])).get(key)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {'yes' if value is None else value}\n")
+    from_config = _options(command, "--config", str(conf)).get(key)
+    assert from_flag is not None
+    assert from_config == from_flag
+    assert type(from_config) is type(from_flag)
+
+
+@pytest.mark.parametrize("command", list(CLI_OPTIONS))
+def test_flags_win_over_config_for_every_subcommand(tmp_path, command):
+    key = next(k for k, v in CLI_OPTIONS[command].items() if v is not None)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {CLI_OPTIONS[command][key]}\n")
+    flag = "--" + key.replace("_", "-")
+    opts = _options(command, "--config", str(conf), flag, "42")
+    assert str(opts.get(key)) in ("42", "42.0")
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("true", True), ("1", True), ("yes", True), ("ON", True),
+     ("false", False), ("0", False), ("no", False), ("off", False)],
+)  # fmt: skip
+def test_config_booleans(tmp_path, text, want):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"prob = {text}\n")
+    assert _options("analyze", "--config", str(conf)).get("prob") is want
+
+
+def test_config_rejects_a_malformed_boolean(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("counts = c.csv\nprob = maybe\n")
+    assert run_cli("analyze", "--config", str(conf)) == 1
+
+
+@pytest.mark.parametrize("command", list(CLI_OPTIONS))
+def test_subcommand_help_lists_its_options(command, capsys):
+    assert run_cli(command, "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    flags = {"--" + key.replace("_", "-") for key in CLI_OPTIONS[command]}
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == flags | {"--help", "--config"}
+    if command == "simulate":
+        assert "bias parameter or full comma-separated weights" in text
+    if command == "keyrate":
+        assert "lo:hi:step" in text
