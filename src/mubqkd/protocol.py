@@ -17,9 +17,9 @@ full log, from a separate sub-stream of the chunk, so the counts are the
 same with and without it.
 
 Entanglement-based rounds: a photon pair appears with probability
-alpha_sq * chi, splits AB/AA/BB with probabilities (1/2, 1/4, 1/4), and
-clicks fire so that, per setting pair, expected singles are
-N eta alpha_sq chi / 2 and expected coincidences are
+alpha_sq * chi and splits AB/AA/BB with probabilities (1/2, 1/4, 1/4).
+_click_table gives the click probabilities per arm and setting pair, so
+expected singles are N eta alpha_sq chi / 2 and expected coincidences are
 N eta_a eta_b alpha_sq chi / 4 scaled by d times the joint outcome
 probability of the isotropic state.  Same-arm pairs can produce singles
 but never a coincidence.
@@ -228,29 +228,21 @@ class _RoundKernel:
         d, n_s = cfg.dim, (cfg.dim + 1) * cfg.dim
         self.seed, self.d, self.n_s = cfg.seed, d, n_s
         self.table = _setting_table(cfg.basis_bias, d)
-        ea = np.asarray(cfg.efficiencies.eta_a, dtype=np.float64).reshape(n_s)
-        eb = np.asarray(cfg.efficiencies.eta_b, dtype=np.float64).reshape(n_s)
+        weights, (p_a, p_b, p_ab) = _click_table(cfg, mubs)
+        # B's threshold per (arm, click_a, cell): P(B | not A), then P(B | A).
+        # P(A) is 0 on BB and can be 1 on AA; the entry no round reads is 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            not_a = np.where(p_a < 1.0, (p_b - p_ab) / (1.0 - p_a), 0.0)
+            self.thr_b = np.stack([not_a, np.where(p_a > 0.0, p_ab / p_a, 0.0)], axis=1)
         if cfg.mode == "pm":
+            # Alice always sends, so B's threshold is one flat lookup per cell.
             self.width, self.draw, self.clicks = 3, self._draw_pm, self._pm_clicks
-            self.thr_b = (_cell_probs(cfg, mubs).reshape(n_s, n_s) * eb).ravel()
+            self.thr_b = self.thr_b[0, 1]
             return
         self.width, self.draw, self.clicks = 1, self._draw_eb, self._eb_clicks
-        self.pair_prob = cfg.source.pair_prob
-        routing = pair_routing_probs()
-        self.route_table = np.cumsum([routing.ab, routing.aa])
-        # A's click threshold per (arm, setting_a): one photon on AB, two on AA.
-        self.thr_a = np.stack([ea / 2.0, ea, np.zeros(n_s)])
-        # B's threshold per (arm, click_a, cell).  On AB it is correlated
-        # with A so the pairwise rate is eta_a eta_b d p_joint / 2; on AA
-        # it never fires; on BB both photons reach B.  Efficiencies are
-        # positive and at most about 1, so 1 - eta_a / 2 is never near zero.
-        given_a = eb * _cell_probs(cfg, mubs).reshape(n_s, n_s)
-        joint = ea[:, None] / 2.0 * given_a
-        given_not_a = (eb / 2.0 - joint) / (1.0 - ea[:, None] / 2.0)
-        self.thr_b = np.zeros((3, 2, n_s * n_s))
-        self.thr_b[0, 0] = np.clip(given_not_a, 0.0, 1.0).ravel()
-        self.thr_b[0, 1] = given_a.ravel()
-        self.thr_b[2] = np.tile(eb, n_s)
+        self.pair_prob = weights.sum()
+        self.route_table = np.cumsum(weights[:-1] / self.pair_prob)
+        self.thr_a = p_a  # A's threshold per (arm, cell)
 
     def buffer(self) -> np.ndarray:
         """Scratch for one chunk's bulk draw; each thread needs its own."""
@@ -276,8 +268,9 @@ class _RoundKernel:
         arm = self.route(v)
         s_a = _draw_setting(self.table, v[:, 1])
         s_b = _draw_setting(self.table, v[:, 2])
-        click_a = v[:, 3] < self.thr_a[arm, s_a]
-        click_b = v[:, 4] < self.thr_b[arm, click_a.view(np.uint8), self.cell(s_a, s_b)]
+        cell = self.cell(s_a, s_b)
+        click_a = v[:, 3] < self.thr_a[arm, cell]
+        click_b = v[:, 4] < self.thr_b[arm, click_a.view(np.uint8), cell]
         return s_a, s_b, click_a, click_b
 
     def _pm_clicks(self, v: np.ndarray):
@@ -346,19 +339,43 @@ def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:
     return ov
 
 
-def _cell_probs(cfg: ProtocolConfig, mubs: MubSet) -> np.ndarray:
-    """Per setting pair, the probability that Bob's filter passes given Alice's side.
+def _click_table(cfg: ProtocolConfig, mubs: MubSet):
+    """The source and detector model as (weights, table).
 
-    EB: d p_joint of the isotropic state (Alice's filter alone passes with
-    probability 1/d).  PM: the prepared-state overlaps after the flip channel.
+    weights[arm] is each arm's probability per round.  table[k, arm, cell],
+    cell = s_a * n_s + s_b, is the probability that A clicks (k = 0), that
+    B clicks (k = 1) and that both click (k = 2) in a round of that arm.
+    EB arms are AB, AA, BB (pair_routing_probs order): on AB each side
+    clicks with eta / 2 and B passes given A with d p_joint of the isotropic
+    state; on AA and BB both photons reach one side.  PM has one arm: Alice
+    always sends, and Bob passes with the overlap after the flip channel.
     """
     if mubs.dim != cfg.dim:
         raise DimensionError(
             f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
         )
+    n_s = (cfg.dim + 1) * cfg.dim
+    eta_a = np.asarray(cfg.efficiencies.eta_a, dtype=np.float64).reshape(n_s, 1)
+    eta_b = np.asarray(cfg.efficiencies.eta_b, dtype=np.float64).reshape(n_s)
     if cfg.mode == "pm":
-        return pm_effective_overlaps(mubs, cfg.flip_prob)
-    return cfg.dim * joint_prob_matrix(isotropic_state(cfg.dim, cfg.visibility), mubs).probs
+        both = pm_effective_overlaps(mubs, cfg.flip_prob).reshape(n_s, n_s) * eta_b
+        return np.ones(1), np.stack([np.ones_like(both), both, both]).reshape(3, 1, -1)
+    rho = isotropic_state(cfg.dim, cfg.visibility)
+    cells = cfg.dim * joint_prob_matrix(rho, mubs).probs.reshape(n_s, n_s)
+    table = np.zeros((3, 3, n_s, n_s))
+    table[0, 0], table[0, 1] = eta_a / 2.0, eta_a
+    table[1, 0], table[1, 2] = eta_b / 2.0, eta_b
+    table[2, 0] = eta_a / 2.0 * (eta_b * cells)
+    routing = pair_routing_probs()
+    weights = cfg.source.pair_prob * np.array([routing.ab, routing.aa, routing.bb])
+    return weights, table.reshape(3, 3, -1)
+
+
+def _count_matrix(cfg: ProtocolConfig, tallies, **fields) -> CountMatrix:
+    """CountMatrix from (singles_a, singles_b, coincidences) over the flat cells."""
+    shape = (3, cfg.dim + 1, cfg.dim, cfg.dim + 1, cfg.dim)
+    singles_a, singles_b, coinc = np.reshape(tallies, shape).astype(np.float64)
+    return CountMatrix(cfg.dim, singles_a, singles_b, coinc, **fields)
 
 
 def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool, take_rows):
@@ -401,14 +418,8 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
         take_rows(scratch[1][:k])
         pool.put(scratch)
 
-    n_b, d = cfg.dim + 1, cfg.dim
-    singles_a, singles_b, coinc = totals.reshape(3, n_b, d, n_b, d).astype(np.float64)
-    return CountMatrix(
-        dim=cfg.dim,
-        singles_a=singles_a,
-        singles_b=singles_b,
-        coincidences=coinc,
-        metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed},
+    return _count_matrix(
+        cfg, totals, metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
     )
 
 
@@ -489,33 +500,12 @@ def run_pm_session(
 
 
 def expected_count_matrix(cfg: ProtocolConfig, mubs: MubSet) -> CountMatrix:
-    """Analytic per-cell expectations of the session's count matrix."""
-    d, n_b = cfg.dim, cfg.dim + 1
-    bias = np.asarray(cfg.basis_bias)
-    p_setting = np.einsum(
-        "i,j->ij", np.repeat(bias / d, d), np.repeat(bias / d, d)
-    ).reshape(n_b, d, n_b, d)
-    eta_a = np.asarray(cfg.efficiencies.eta_a)[:, :, None, None]
-    eta_b = np.asarray(cfg.efficiencies.eta_b)[None, None, :, :]
-    cells = _cell_probs(cfg, mubs)
-    if cfg.mode == "eb":
-        pair = cfg.source.pair_prob
-        singles_a = cfg.rounds * p_setting * pair * eta_a / 2.0
-        singles_b = cfg.rounds * p_setting * pair * eta_b / 2.0
-        coinc = cfg.rounds * p_setting * pair * eta_a * eta_b * cells / 4.0
-    else:
-        singles_a = cfg.rounds * p_setting
-        coinc = singles_a * eta_b * cells
-        singles_b = coinc.copy()
-
-    return CountMatrix(
-        dim=d,
-        singles_a=singles_a,
-        singles_b=singles_b,
-        coincidences=coinc,
-        exact=True,
-        metadata={"mode": cfg.mode, "rounds": cfg.rounds, "expectation": True},
-    )
+    """Analytic per-cell expectations: rounds x P(setting pair) x the weighted click table."""
+    weights, table = _click_table(cfg, mubs)
+    p_setting = np.repeat(np.asarray(cfg.basis_bias) / cfg.dim, cfg.dim)
+    per_cell = np.outer(p_setting, p_setting).ravel() * (weights @ table)
+    meta = {"mode": cfg.mode, "rounds": cfg.rounds, "expectation": True}
+    return _count_matrix(cfg, cfg.rounds * per_cell, exact=True, metadata=meta)
 
 
 def _key_string(elems: np.ndarray, dim: int) -> str:

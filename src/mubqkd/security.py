@@ -141,19 +141,15 @@ def empirical_qber(counts: CountMatrix) -> tuple[list[float | None], float]:
     A basis without any same-basis coincidences yields None and is left out
     of the average (with a warning) rather than counted as zero.
     """
-    per_basis: list[float | None] = []
-    for basis in range(counts.n_bases):
-        block = counts.coincidence_block(basis, basis)
-        total = float(np.sum(block))
-        if total <= 0.0:
-            per_basis.append(None)
-            continue
-        errors = total - float(np.trace(block))
-        per_basis.append(errors / total)
+    n_b = counts.n_bases
+    same = counts.coincidences[range(n_b), :, range(n_b), :]  # (basis, a, b)
+    totals, agreed = same.sum(axis=(1, 2)), np.trace(same, axis1=1, axis2=2)
+    # On expectation-valued blocks the trace can round a hair above the total.
+    per_basis = [None if t <= 0.0 else float(max(t - a, 0.0) / t) for t, a in zip(totals, agreed)]
     available = [q for q in per_basis if q is not None]
     if not available:
         raise CountDataError("no same-basis coincidences in any basis")
-    if len(available) < counts.n_bases:
+    if len(available) < n_b:
         missing = [i for i, q in enumerate(per_basis) if q is None]
         warnings.warn(
             f"bases {missing} have no same-basis coincidences; "
@@ -235,10 +231,8 @@ def holevo_gap(i_ab: float, r_min: float) -> float:
 
 def joint_distribution_from_counts(counts: CountMatrix) -> Distribution:
     """Outcome-pair distribution pooled over all same-basis coincidences."""
-    d = counts.dim
-    pooled = np.zeros((d, d))
-    for basis in range(counts.n_bases):
-        pooled += counts.coincidence_block(basis, basis)
+    d, n_b = counts.dim, counts.n_bases
+    pooled = counts.coincidences[range(n_b), :, range(n_b), :].sum(axis=0)
     total = float(np.sum(pooled))
     if total <= 0.0:
         raise CountDataError("no same-basis coincidences to build a joint distribution")

@@ -162,6 +162,26 @@ def test_simulate_exact_pm_and_analyze(tmp_path, capsys):
     assert csv_out.read_text().startswith("d,Q,Q_max,r_min,I_AB,holevo_gap")
 
 
+@pytest.mark.parametrize("dim, flip", [("2", "0.9"), ("3", "0.8")])
+def test_analyze_refuses_error_rate_above_ceiling(tmp_path, capsys, dim, flip):
+    # Q >= d/(d+1) has no key rate: exit 1, one error line, no output files.
+    counts = tmp_path / "c.csv"
+    assert run_cli(
+        "simulate", "--mode", "pm", "--dim", dim, "--rounds", "9000", "--seed", "0",
+        "--exact", "--flip-prob", flip, "--out", str(counts),
+    ) == 0
+    capsys.readouterr()
+    report, csv_out = tmp_path / "report.txt", tmp_path / "report.csv"
+    assert run_cli(
+        "analyze", "--counts", str(counts),
+        "--out-report", str(report), "--out-csv", str(csv_out),
+    ) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
+
+
 def test_simulate_exact_rejected_for_eb(tmp_path):
     out = tmp_path / "c.csv"
     code = run_cli(

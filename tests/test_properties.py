@@ -27,13 +27,17 @@ def test_visibility_qber_round_trip(d, frac):
     assert abs((1 - v) * (d - 1) / d - q) < 1e-12
 
 
-# key_rate falls on the physical range [0, (d-1)/d] and rises past it.
+# key_rate falls on the physical range [0, (d-1)/d] and rises past it.  At
+# (d-1)/d it is flat, r(q) ~ r(top) + curv (q - top)^2 / 2, so a pair whose
+# rate difference by that curvature is below 1e-14 (key_rate is good to
+# about 1e-15 here) shows only rounding and is skipped.
 @given(d=DIMS, f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_key_rate_monotone_in_error(d, f1, f2):
     top = (d - 1) / d
     q1, q2 = sorted((f1 * top, f2 * top))
-    if q2 - q1 < 1e-9:
+    curv = (d + 1) / (d * np.log(2)) * (d / (d - 1) + d * (d + 1))
+    if curv * (q2 - q1) * (2 * top - q1 - q2) / 2 < 1e-14:
         return
     assert key_rate(d, q1) > key_rate(d, q2)
 

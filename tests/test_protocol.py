@@ -27,6 +27,7 @@ from mubqkd.protocol import (
     sample_setting,
     sift,
 )
+from mubqkd.states import isotropic_state, joint_prob_matrix
 
 SOURCE = SourceParams(pulses=0, alpha_sq=0.18, chi=0.5)
 
@@ -308,6 +309,64 @@ def test_counts_fit_model_with_uneven_efficiencies_and_bias(d, mode):
     for obs, mu in zip(cells(got), cells(want)):
         pull = np.abs(obs - mu) / np.sqrt(np.maximum(mu, 1.0))
         assert pull.max() < 5.0
+
+
+def _per_mode_expectations(cfg, mubs):
+    """The per-mode closed forms of the expected singles and coincidences."""
+    d, n_b = cfg.dim, cfg.dim + 1
+    bias = np.asarray(cfg.basis_bias)
+    p_setting = np.einsum(
+        "i,j->ij", np.repeat(bias / d, d), np.repeat(bias / d, d)
+    ).reshape(n_b, d, n_b, d)
+    eta_a = np.asarray(cfg.efficiencies.eta_a)[:, :, None, None]
+    eta_b = np.asarray(cfg.efficiencies.eta_b)[None, None, :, :]
+    if cfg.mode == "eb":
+        cells = d * joint_prob_matrix(isotropic_state(d, cfg.visibility), mubs).probs
+        pair = cfg.source.pair_prob
+        singles_a = cfg.rounds * p_setting * pair * eta_a / 2.0
+        singles_b = cfg.rounds * p_setting * pair * eta_b / 2.0
+        coinc = cfg.rounds * p_setting * pair * eta_a * eta_b * cells / 4.0
+    else:
+        cells = pm_effective_overlaps(mubs, cfg.flip_prob)
+        singles_a = cfg.rounds * p_setting
+        coinc = singles_a * eta_b * cells
+        singles_b = coinc.copy()
+    return singles_a, singles_b, coinc
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_expected_counts_match_per_mode_closed_forms(d, mode):
+    # The kernel and expected_count_matrix read one click table, so the fit
+    # test above cannot see an error in the table itself; this oracle can.
+    rng = np.random.default_rng(100 + d)
+    table = EfficiencyTable(
+        dim=d,
+        eta_a=rng.uniform(0.3, 1.0, (d + 1, d)),
+        eta_b=rng.uniform(0.3, 1.0, (d + 1, d)),
+    )
+    weights = np.linspace(1.0, 3.0, d + 1)
+    common = dict(dim=d, seed=3, rounds=1_000_000, efficiencies=table,
+                  basis_bias=tuple(weights / weights.sum()))
+    if mode == "eb":
+        cfg = eb_config(visibility=0.9, **common)
+    else:
+        cfg = ProtocolConfig(mode="pm", flip_prob=0.1, **common)
+    mubs = mub_set(d)
+    got = expected_count_matrix(cfg, mubs)
+    for obs, want in zip((got.singles_a, got.singles_b, got.coincidences),
+                         _per_mode_expectations(cfg, mubs)):
+        np.testing.assert_allclose(obs, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_basis_set_of_wrong_dimension_is_rejected(mode):
+    cfg = eb_config(dim=3) if mode == "eb" else ProtocolConfig(dim=3, mode="pm", rounds=10, seed=0)
+    run = run_eb_session if mode == "eb" else run_pm_session
+    with pytest.raises(DimensionError):
+        expected_count_matrix(cfg, mub_set(2))
+    with pytest.raises(DimensionError):
+        run(cfg, mub_set(2))
 
 
 def test_same_seed_reproduces_different_seed_differs():

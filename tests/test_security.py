@@ -8,6 +8,7 @@ import pytest
 from mubqkd.bases import mub_set, standard_basis
 from mubqkd.counts import CountMatrix
 from mubqkd.errors import CountDataError, DimensionError, NumericError
+from mubqkd.protocol import ProtocolConfig, expected_count_matrix
 from mubqkd.security import (
     Distribution,
     analyze_counts,
@@ -248,6 +249,16 @@ def test_empirical_qber_requires_data():
     )
     with pytest.raises(CountDataError):
         empirical_qber(counts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_noiseless_exact_counts_analyze_at_zero_error(d):
+    # The trace of an expectation-valued block can round above its total.
+    cfg = ProtocolConfig(dim=d, mode="pm", rounds=200_000, seed=3)
+    counts = expected_count_matrix(cfg, mub_set(d))
+    per_basis, avg = empirical_qber(counts)
+    assert min(per_basis) >= 0.0 and avg < 1e-12
+    assert analyze_counts(counts).qber == avg
 
 
 def test_joint_distribution_from_counts_pools_bases():
