@@ -31,7 +31,7 @@ SUPPORTED_DIMENSIONS = (2, 3, 4, 5, 7)
 
 
 def _as_complex_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.array(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"ket amplitudes must be one-dimensional, got shape {arr.shape}")
     if arr.size < 2:

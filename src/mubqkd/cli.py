@@ -22,7 +22,6 @@ from .counts import load_counts, save_counts
 from .errors import (
     ConfigError,
     ConstructionError,
-    CountDataError,
     MubQkdError,
     NumericError,
     ParseError,
@@ -30,6 +29,7 @@ from .errors import (
 from .photonics import (
     CountRecord,
     SourceParams,
+    _table_rows,
     efficiency_uniformity,
     estimate_efficiency,
     load_efficiency_table,
@@ -277,28 +277,11 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
         allow_float=bool(opts.get("prob", False)),
         allow_partial=True,
     )
-    records = []
-    for basis in range(counts.n_bases):
-        for elem in range(counts.dim):
-            cell = (basis, elem, basis, elem)
-            sa = float(counts.singles_a[cell])
-            sb = float(counts.singles_b[cell])
-            cc = float(counts.coincidences[cell])
-            if sa == 0 and sb == 0 and cc == 0:
-                continue
-            records.append(
-                CountRecord(
-                    basis_a=basis,
-                    elem_a=elem,
-                    basis_b=basis,
-                    elem_b=elem,
-                    singles_a=sa,
-                    singles_b=sb,
-                    coincidences=cc,
-                )
-            )
-    if not records:
-        raise CountDataError("counts hold no data on conjugate-correlated setting pairs")
+    tallies = (counts.singles_a, counts.singles_b, counts.coincidences)
+    records = [
+        CountRecord(b, e, b, e, *(float(t[b, e, b, e]) for t in tallies))
+        for b, e in np.ndindex(counts.n_bases, counts.dim)
+    ]
     table = estimate_efficiency(records, counts.dim)
     uniformity = efficiency_uniformity(table)
 
@@ -306,20 +289,11 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
     if out:
         _atomic_write(out, lambda tmp: save_efficiency_table(table, tmp))
         print(f"wrote efficiency table to {out}")
-    for basis in range(counts.dim + 1):
-        for elem in range(counts.dim):
-            ea, eb = table.eta_a[basis, elem], table.eta_b[basis, elem]
-            if np.isfinite(ea) or np.isfinite(eb):
-                idx = basis * counts.dim + elem + 1
-                print(f"vector {idx}: eta_a={ea:.5f} eta_b={eb:.5f}")
-    sa = ", ".join(
-        f"{basis}: {s:.3f}" for basis, s in enumerate(uniformity.spread_a) if np.isfinite(s)
-    )
-    sb = ", ".join(
-        f"{basis}: {s:.3f}" for basis, s in enumerate(uniformity.spread_b) if np.isfinite(s)
-    )
-    print(f"within-basis spread arm A  {sa}")
-    print(f"within-basis spread arm B  {sb}")
+    for idx, ea, eb in _table_rows(table):
+        print(f"vector {idx}: eta_a={ea:.5f} eta_b={eb:.5f}")
+    for arm, spread in (("A", uniformity.spread_a), ("B", uniformity.spread_b)):
+        text = ", ".join(f"{basis}: {s:.3f}" for basis, s in enumerate(spread) if np.isfinite(s))
+        print(f"within-basis spread arm {arm}  {text}")
     return 0
 
 

@@ -47,7 +47,7 @@ class CountMatrix:
         shape = (n_b, self.dim, n_b, self.dim)
         arrays = {}
         for name in ("singles_a", "singles_b", "coincidences"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape} for dim {self.dim}"

@@ -100,7 +100,7 @@ class EfficiencyTable:
     def __post_init__(self):
         shape = (self.dim + 1, self.dim)
         for name in ("eta_a", "eta_b"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape} for dim {self.dim}"
@@ -169,37 +169,26 @@ def synthesize_conjugate_records(
     ceiling of the sampled singles, which never binds at realistic rates).
     """
     pairing = pairing or identity_pairing
-    records = []
-    for basis in range(table.dim + 1):
-        for elem in range(table.dim):
-            pb, pe = pairing((basis, elem))
-            ea = float(table.eta_a[basis, elem])
-            eb = float(table.eta_b[pb, pe])
-            if not (np.isfinite(ea) and np.isfinite(eb)):
-                raise CountDataError(
-                    f"efficiency table is missing setting ({basis},{elem}) or partner"
-                )
-            mu_sa = expected_singles(params, ea)
-            mu_sb = expected_singles(params, eb)
-            mu_cc = expected_coincidences(params, ea, eb)
-            if rng is None:
-                sa, sb, cc = mu_sa, mu_sb, mu_cc
-            else:
-                sa = float(rng.poisson(mu_sa))
-                sb = float(rng.poisson(mu_sb))
-                cc = min(float(rng.poisson(mu_cc)), sa, sb)
-            records.append(
-                CountRecord(
-                    basis_a=basis,
-                    elem_a=elem,
-                    basis_b=pb,
-                    elem_b=pe,
-                    singles_a=sa,
-                    singles_b=sb,
-                    coincidences=cc,
-                )
-            )
-    return records
+    settings = list(np.ndindex(table.dim + 1, table.dim))
+    partners = [pairing(s) for s in settings]
+    eta_a = table.eta_a.reshape(-1)
+    eta_b = table.eta_b[tuple(np.transpose(partners))]
+    missing = np.flatnonzero(~(np.isfinite(eta_a) & np.isfinite(eta_b)))
+    if missing.size:
+        basis, elem = settings[missing[0]]
+        raise CountDataError(f"efficiency table is missing setting ({basis},{elem}) or partner")
+    # One row per setting: (singles_a, singles_b, coincidences).
+    mu_sa, mu_sb = expected_singles(params, eta_a), expected_singles(params, eta_b)
+    mu = np.stack([mu_sa, mu_sb, expected_coincidences(params, eta_a, eta_b)], axis=1)
+    if rng is None:
+        tallies = mu
+    else:
+        tallies = rng.poisson(mu).astype(np.float64)  # draws row by row, as scalar calls would
+        tallies[:, 2] = tallies.min(axis=1)
+    return [
+        CountRecord(*setting, *partner, *tally)
+        for setting, partner, tally in zip(settings, partners, tallies.tolist())
+    ]
 
 
 def estimate_efficiency(
@@ -211,53 +200,52 @@ def estimate_efficiency(
 
     Uses eta_b = 2 C / singles_a and eta_a = 2 C / singles_b.  Records for
     the same setting pair are pooled by summing counts before the ratio is
-    taken.  Pairs with no coincidences carry no efficiency information and
-    stay missing in the table.  Raises when a record is not a conjugate
-    pair under ``pairing``, when a needed singles tally is zero, when a
-    ratio exceeds one, or when no pair had coincidences at all.
+    taken; the pairing makes B's setting a function of A's, so the pool is
+    indexed by A's setting.  Pairs with no coincidences carry no efficiency
+    information and stay missing in the table.  Raises when a record is not
+    a conjugate pair under ``pairing`` or lies outside the dimension, when a
+    ratio exceeds one (a zero singles tally under coincidences gives an
+    infinite ratio), or when no pair had coincidences at all.
     """
     pairing = pairing or identity_pairing
-    pooled: dict[tuple[Setting, Setting], list[float]] = {}
+    rows = []  # flat indices of A's and of B's setting per record
     for rec in records:
-        sa_setting, sb_setting = rec.setting_pair
-        if pairing(sa_setting) != sb_setting:
+        (ba, ea), (bb, eb) = setting_a, setting_b = rec.setting_pair
+        if pairing(setting_a) != setting_b:
             raise CountDataError(
                 f"record {rec.setting_pair} is not a conjugate-correlated pair"
             )
-        acc = pooled.setdefault((sa_setting, sb_setting), [0.0, 0.0, 0.0])
-        acc[0] += rec.singles_a
-        acc[1] += rec.singles_b
-        acc[2] += rec.coincidences
+        if min(ba, bb, ea, eb) < 0 or max(ba, bb) > dim or max(ea, eb) >= dim:
+            raise CountDataError(
+                f"record setting (({ba},{ea}),({bb},{eb})) out of range for dim {dim}"
+            )
+        rows.append((ba * dim + ea, bb * dim + eb))
+    tally = np.zeros(((dim + 1) * dim, 3))  # (singles_a, singles_b, coincidences)
+    partner = np.zeros(len(tally), dtype=np.intp)
+    if records:
+        row_a, row_b = np.transpose(rows)
+        values = [(rec.singles_a, rec.singles_b, rec.coincidences) for rec in records]
+        np.add.at(tally, row_a, values)  # sums each setting's records in record order
+        partner[row_a] = row_b
 
-    eta_a = np.full((dim + 1, dim), np.nan)
-    eta_b = np.full((dim + 1, dim), np.nan)
-    for ((ba, ea_i), (bb, eb_i)), (sa, sb, cc) in pooled.items():
-        if max(ba, bb) > dim or max(ea_i, eb_i) >= dim:
-            raise CountDataError(
-                f"record setting (({ba},{ea_i}),({bb},{eb_i})) out of range for dim {dim}"
-            )
-        if cc <= 0:
-            continue
-        if sa <= 0:
-            raise CountDataError(
-                f"zero singles_a for setting ({ba},{ea_i}); cannot form 2C/S_A"
-            )
-        if sb <= 0:
-            raise CountDataError(
-                f"zero singles_b for setting ({bb},{eb_i}); cannot form 2C/S_B"
-            )
-        est_b = 2.0 * cc / sa
-        est_a = 2.0 * cc / sb
-        if est_a > 1 + EFFICIENCY_SLACK or est_b > 1 + EFFICIENCY_SLACK:
-            raise CountDataError(
-                f"counts for pair (({ba},{ea_i}),({bb},{eb_i})) imply an efficiency "
-                f"above one (eta_a={est_a:.4g}, eta_b={est_b:.4g})"
-            )
-        eta_a[ba, ea_i] = est_a
-        eta_b[bb, eb_i] = est_b
-    if np.all(np.isnan(eta_a)) and np.all(np.isnan(eta_b)):
+    singles_a, singles_b, coinc = tally.T
+    has = coinc > 0
+    if not has.any():
         raise CountDataError("no setting pair had coincidences; nothing to estimate")
-    return EfficiencyTable(dim=dim, eta_a=eta_a, eta_b=eta_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est_a, est_b = np.where(has, 2.0 * coinc / np.stack([singles_b, singles_a]), np.nan)
+    above = np.flatnonzero((est_a > 1 + EFFICIENCY_SLACK) | (est_b > 1 + EFFICIENCY_SLACK))
+    if above.size:
+        i = above[0]
+        (ba, ea), (bb, eb) = divmod(i, dim), divmod(partner[i], dim)
+        raise CountDataError(
+            f"counts for pair (({ba},{ea}),({bb},{eb})) imply an efficiency "
+            f"above one (eta_a={est_a[i]:.4g}, eta_b={est_b[i]:.4g})"
+        )
+    eta_b = np.full(len(tally), np.nan)
+    eta_b[partner[has]] = est_b[has]
+    shape = (dim + 1, dim)
+    return EfficiencyTable(dim=dim, eta_a=est_a.reshape(shape), eta_b=eta_b.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -274,32 +262,28 @@ class UniformityReport:
 
 
 def efficiency_uniformity(table: EfficiencyTable) -> UniformityReport:
-    """Quantify how flat the efficiencies are across each basis."""
+    """Quantify how flat the efficiencies are across each basis.
 
-    def spreads(eta: np.ndarray) -> np.ndarray:
-        out = np.full(table.dim + 1, np.nan)
-        for basis in range(table.dim + 1):
-            row = eta[basis]
-            if np.all(np.isfinite(row)):
-                mean = float(np.mean(row))
-                out[basis] = (float(np.max(row)) - float(np.min(row))) / mean
-        return out
+    A basis with a missing setting gets NaN, which the row reductions carry.
+    """
+    spread_a, spread_b = (
+        (eta.max(axis=1) - eta.min(axis=1)) / eta.mean(axis=1)
+        for eta in (table.eta_a, table.eta_b)
+    )
+    return UniformityReport(spread_a=spread_a, spread_b=spread_b)
 
-    return UniformityReport(spread_a=spreads(table.eta_a), spread_b=spreads(table.eta_b))
+
+def _table_rows(table: EfficiencyTable):
+    """Yield (flat 1-based vector index, eta_a, eta_b) for each setting with data."""
+    eta_a, eta_b = table.eta_a.reshape(-1), table.eta_b.reshape(-1)
+    for i in np.flatnonzero(np.isfinite(eta_a) | np.isfinite(eta_b)):
+        yield int(i) + 1, eta_a[i], eta_b[i]
 
 
 def save_efficiency_table(table: EfficiencyTable, path) -> None:
     """Write rows (flat basis-vector index, eta_a, eta_b) at 5 decimals."""
     lines = [f"dim {table.dim}", "index eta_a eta_b"]
-    for basis in range(table.dim + 1):
-        for elem in range(table.dim):
-            ea = table.eta_a[basis, elem]
-            eb = table.eta_b[basis, elem]
-            if np.isfinite(ea) or np.isfinite(eb):
-                idx = basis * table.dim + elem + 1
-                ea_s = f"{ea:.5f}" if np.isfinite(ea) else "nan"
-                eb_s = f"{eb:.5f}" if np.isfinite(eb) else "nan"
-                lines.append(f"{idx} {ea_s} {eb_s}")
+    lines += [f"{i} {ea:.5f} {eb:.5f}" for i, ea, eb in _table_rows(table)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -96,7 +96,6 @@ class ProtocolConfig:
     flip_prob: float = 0.0
     source: SourceParams | None = None
     efficiencies: EfficiencyTable | None = None
-    sample_fraction: float = 0.1
 
     def __post_init__(self):
         if self.dim < 2:
@@ -129,10 +128,6 @@ class ProtocolConfig:
         if not eff.complete:
             raise ConfigError("efficiency table is missing settings")
         object.__setattr__(self, "efficiencies", eff)
-        if not 0.0 < self.sample_fraction < 1.0:
-            raise ConfigError(
-                f"sample fraction must lie in (0, 1), got {self.sample_fraction}"
-            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,6 @@ from .states import DensityOperator, _pair_probs, joint_prob_matrix
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
-_CROSSING_SCAN_POINTS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,36 +184,24 @@ def key_rate(d: int, q: float) -> float:
 
 
 def q_max(d: int, tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Tolerable error-rate ceiling: the root of key_rate(d, .) on (0, d/(d+1)).
+    """Tolerable error-rate ceiling: the root of key_rate(d, .) on (0, (d-1)/d).
 
-    The bracket is scanned first to confirm a single sign change, then
-    bisected until |key_rate| < tol.
+    The rate is log2 d > 0 at q = 0, falls monotonically to its minimum
+    -log2 d < 0 at the uniform error (d-1)/d, and so has exactly one root
+    in that bracket, which is bisected until |key_rate| < tol.
     """
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    hi_edge = d / (d + 1)
-    lo, hi = 0.0, hi_edge * (1.0 - 1e-12)
-    grid = np.linspace(lo, hi, _CROSSING_SCAN_POINTS)
-    values = [key_rate(d, q) for q in grid]
-    crossings = [
-        i for i in range(len(values) - 1) if (values[i] > 0) != (values[i + 1] > 0)
-    ]
-    if len(crossings) != 1:
-        raise NumericError(
-            f"expected exactly one zero crossing of the key rate for d={d}, "
-            f"found {len(crossings)}"
-        )
-    lo, hi = float(grid[crossings[0]]), float(grid[crossings[0]] + grid[1] - grid[0])
-    f_lo = key_rate(d, lo)
+    lo, hi = 0.0, (d - 1) / d
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = key_rate(d, mid)
         if abs(f_mid) < tol:
             return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+        if f_mid > 0:
+            lo = mid
         else:
             hi = mid
     raise NumericError(f"bisection for d={d} did not reach |rate| < {tol}")

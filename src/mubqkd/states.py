@@ -34,7 +34,7 @@ class DensityOperator:
     dim: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)
         n = self.dim * self.dim
         if m.shape != (n, n):
             raise DimensionError(
@@ -73,7 +73,7 @@ class JointProbMatrix:
             raise DimensionError(
                 f"probability array shape {p.shape} does not match dimension {self.dim}"
             )
-        avail = np.asarray(self.block_available, dtype=bool)
+        avail = np.array(self.block_available, dtype=bool)
         if avail.shape != (n_b, n_b):
             raise DimensionError("block availability mask has wrong shape")
         if np.min(p) < -1e-15:

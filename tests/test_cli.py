@@ -11,6 +11,12 @@ from mubqkd import ProtocolConfig, cli, mub_set, run_eb_session, run_pm_session
 from mubqkd.bases import load_bases
 from mubqkd.counts import load_counts
 from mubqkd.errors import NumericError
+from mubqkd.photonics import (
+    CountRecord,
+    EfficiencyTable,
+    estimate_efficiency,
+    save_efficiency_table,
+)
 from mubqkd.protocol import CHUNK_ROUNDS
 
 
@@ -307,6 +313,44 @@ def test_efficiency_subcommand(tmp_path, capsys):
         # Ideal detectors can fluctuate above the physical ceiling; the
         # command must then fail as a validation error, not crash.
         assert code == 1
+
+
+def test_efficiency_subcommand_matches_library(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    truth = EfficiencyTable(
+        dim=2, eta_a=rng.uniform(0.25, 0.45, (3, 2)), eta_b=rng.uniform(0.25, 0.45, (3, 2))
+    )
+    eta_file, counts_file = tmp_path / "eta.txt", tmp_path / "c.csv"
+    save_efficiency_table(truth, eta_file)
+    assert run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "1000000", "--seed", "5",
+        "--visibility", "0.95", "--alpha-sq", "0.18", "--bias", "0.34,0.33,0.33",
+        "--eta-file", str(eta_file),
+        "--out", str(counts_file),
+    ) == 0
+    capsys.readouterr()
+    est_file = tmp_path / "est.txt"
+    assert run_cli("efficiency", "--counts", str(counts_file), "--out", str(est_file)) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    counts = load_counts(counts_file)
+    records = [
+        CountRecord(b, e, b, e, counts.singles_a[b, e, b, e], counts.singles_b[b, e, b, e],
+                    counts.coincidences[b, e, b, e])
+        for b in range(3)
+        for e in range(2)
+    ]
+    table = estimate_efficiency(records, 2)
+    want_file = tmp_path / "want.txt"
+    save_efficiency_table(table, want_file)
+    assert est_file.read_text() == want_file.read_text()
+    rows = [line for line in lines if line.startswith("vector ")]
+    assert rows == [
+        f"vector {b * 2 + e + 1}: eta_a={table.eta_a[b, e]:.5f} eta_b={table.eta_b[b, e]:.5f}"
+        for b in range(3)
+        for e in range(2)
+    ]
+    assert len(lines) == 1 + len(rows) + 2
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

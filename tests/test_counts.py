@@ -10,7 +10,10 @@ from mubqkd.counts import (
     normalize_blocks,
     save_counts,
 )
+from mubqkd.bases import Ket
 from mubqkd.errors import CountDataError, ParseError
+from mubqkd.photonics import EfficiencyTable
+from mubqkd.states import DensityOperator, JointProbMatrix
 
 
 def _grid(d, fill_s=100.0, fill_c=10.0):
@@ -207,3 +210,25 @@ def test_metadata_records_source(tmp_path):
     save_counts(counts, path)
     loaded = load_counts(path)
     assert str(path) in loaded.metadata.get("source", "")
+
+
+# Every frozen container copies its input, so the caller's array stays writable.
+@pytest.mark.parametrize(
+    "build, field, make",
+    [
+        (lambda a: CountMatrix(dim=2, singles_a=a, singles_b=a, coincidences=a),
+         "singles_a", lambda: np.zeros((3, 2, 3, 2))),
+        (lambda a: EfficiencyTable(dim=2, eta_a=a, eta_b=a), "eta_a", lambda: np.full((3, 2), 0.5)),
+        (lambda a: DensityOperator(matrix=a, dim=2), "matrix", lambda: np.eye(4, dtype=complex) / 4),
+        (lambda a: Ket(a), "amplitudes", lambda: np.array([1.0, 0.0], dtype=complex)),
+        (lambda a: JointProbMatrix(dim=2, probs=np.zeros((3, 2, 3, 2)), block_available=a),
+         "block_available", lambda: np.ones((3, 3), dtype=bool)),
+    ],
+    ids=["CountMatrix", "EfficiencyTable", "DensityOperator", "Ket", "JointProbMatrix"],
+)
+def test_constructors_copy_before_freezing(build, field, make):
+    arr = make()
+    stored = getattr(build(arr), field)
+    assert arr.flags.writeable
+    assert not stored.flags.writeable
+    arr.flat[0] = arr.flat[0]

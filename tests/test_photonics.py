@@ -199,3 +199,94 @@ def test_table_save_load_roundtrip(tmp_path):
 
 def test_identity_pairing():
     assert identity_pairing((2, 1)) == (2, 1)
+
+
+def test_estimator_rejects_negative_setting_indices():
+    for rec in (
+        CountRecord(-1, 0, -1, 0, singles_a=10, singles_b=10, coincidences=1),
+        CountRecord(0, -1, 0, -1, singles_a=10, singles_b=10, coincidences=1),
+    ):
+        with pytest.raises(CountDataError, match="out of range"):
+            estimate_efficiency([rec], 2)
+
+
+# Per-setting and per-record reference loops; the array code must match
+# them bit for bit, since the arithmetic and the draw order are the same.
+def loop_synthesize(params, table, pairing, rng):
+    records = []
+    for basis in range(table.dim + 1):
+        for elem in range(table.dim):
+            pb, pe = pairing((basis, elem))
+            ea = float(table.eta_a[basis, elem])
+            eb = float(table.eta_b[pb, pe])
+            mu_sa = expected_singles(params, ea)
+            mu_sb = expected_singles(params, eb)
+            mu_cc = expected_coincidences(params, ea, eb)
+            if rng is None:
+                sa, sb, cc = mu_sa, mu_sb, mu_cc
+            else:
+                sa = float(rng.poisson(mu_sa))
+                sb = float(rng.poisson(mu_sb))
+                cc = min(float(rng.poisson(mu_cc)), sa, sb)
+            records.append(CountRecord(basis, elem, pb, pe, sa, sb, cc))
+    return records
+
+
+def loop_estimate(records, dim):
+    pooled = {}
+    for rec in records:
+        acc = pooled.setdefault(rec.setting_pair, [0.0, 0.0, 0.0])
+        acc[0] += rec.singles_a
+        acc[1] += rec.singles_b
+        acc[2] += rec.coincidences
+    eta_a = np.full((dim + 1, dim), np.nan)
+    eta_b = np.full((dim + 1, dim), np.nan)
+    for ((ba, ea), (bb, eb)), (sa, sb, cc) in pooled.items():
+        if cc > 0:
+            eta_a[ba, ea] = 2.0 * cc / sb
+            eta_b[bb, eb] = 2.0 * cc / sa
+    return eta_a, eta_b
+
+
+def without_coincidences(rec):
+    return CountRecord(*rec.setting_pair[0], *rec.setting_pair[1],
+                       rec.singles_a, rec.singles_b, 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_array_path_matches_loops_bitwise(dim, sampled, shifted):
+    rng = np.random.default_rng([dim, sampled, shifted])
+    table = EfficiencyTable(
+        dim=dim,
+        eta_a=rng.uniform(0.05, 0.5, (dim + 1, dim)),
+        eta_b=rng.uniform(0.05, 0.5, (dim + 1, dim)),
+    )
+    # A bijection that moves both the basis and the element.
+    pairing = (lambda s: ((s[0] + 1) % (dim + 1), (s[1] + 1) % dim)) if shifted else None
+    params = SourceParams(pulses=3 * 10**6, alpha_sq=0.1, chi=0.5)
+    seed = 100 + dim
+    rng_a = np.random.default_rng(seed) if sampled else None
+    rng_b = np.random.default_rng(seed) if sampled else None
+    records = synthesize_conjugate_records(params, table, pairing, rng_a)
+    assert records == loop_synthesize(params, table, pairing or identity_pairing, rng_b)
+    # Repeated records pool; cells whose coincidences are all zero stay missing.
+    for batch in (
+        records,
+        records + records[::2],
+        [without_coincidences(r) if i % 3 == 0 else r for i, r in enumerate(records)],
+        records[::-1] + [without_coincidences(r) for r in records[1::2]],
+    ):
+        est = estimate_efficiency(batch, dim, pairing)
+        want_a, want_b = loop_estimate(batch, dim)
+        assert est.eta_a.tobytes() == want_a.tobytes()
+        assert est.eta_b.tobytes() == want_b.tobytes()
+        report = efficiency_uniformity(est)
+        for got, eta in ((report.spread_a, want_a), (report.spread_b, want_b)):
+            want = [
+                (float(np.max(row)) - float(np.min(row))) / float(np.mean(row))
+                if np.all(np.isfinite(row)) else np.nan
+                for row in eta
+            ]
+            assert got.tobytes() == np.array(want).tobytes()

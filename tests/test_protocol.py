@@ -74,8 +74,6 @@ def test_config_validation():
         eb_config(basis_bias=(0.5, 0.6, -0.1))
     with pytest.raises(ConfigError):
         eb_config(source=None)  # entanglement-based needs a source
-    with pytest.raises(ConfigError):
-        eb_config(sample_fraction=0.0)
     # Prepare-and-measure works without a source.
     ProtocolConfig(dim=2, mode="pm", rounds=10, seed=0)
 
