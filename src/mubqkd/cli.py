@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +177,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     mode = opts.get("mode", required=True)
     d = opts.get("dim", required=True)
     rounds = opts.get("rounds", required=True)
-    seed = opts.get("seed", required=True)
+    exact = bool(opts.get("exact", False))
+    seed = opts.get("seed", 0 if exact else None, required=True)  # exact counts draw nothing
     out = opts.get("out", required=True)
 
     visibility = opts.get("visibility")
@@ -217,7 +219,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     mubs = mub_set(d)
     workers = opts.get("workers", 1)
     log_path = opts.get("log")
-    exact = bool(opts.get("exact", False))
 
     if exact and mode == "eb":
         raise ConfigError("exact mode is only available for prepare-and-measure runs")
@@ -405,7 +406,9 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.handler(args)
     except (NumericError, ConstructionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,9 @@ CSV_HEADER = (
     "coincidences",
 )
 
+# The largest supported dimension: key strings hold one decimal digit per symbol.
+_MAX_DIM = 10
+
 
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
@@ -52,6 +55,8 @@ class CountMatrix:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape} for dim {self.dim}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise CountDataError(f"{name} contains a non-finite value")
             if np.min(arr) < 0:
                 raise CountDataError(f"{name} contains a negative value")
             if not self.exact and not np.all(arr == np.floor(arr)):
@@ -80,52 +85,44 @@ class CountMatrix:
         return self.coincidences[basis_a, :, basis_b, :]
 
 
+def _from_flat(dim: int, tallies, **fields) -> CountMatrix:
+    """CountMatrix from (singles_a, singles_b, coincidences) over the flat cells.
+
+    Flat cell s_a * n_s + s_b, with setting s = basis * dim + elem, is the C
+    order of [basis_a, elem_a, basis_b, elem_b]: the row order of the CSV.
+    """
+    shape = (3, dim + 1, dim, dim + 1, dim)
+    singles_a, singles_b, coinc = np.reshape(tallies, shape).astype(np.float64)
+    return CountMatrix(dim, singles_a, singles_b, coinc, **fields)
+
+
 def normalize_blocks(counts: CountMatrix) -> JointProbMatrix:
     """Normalize each (basis_a, basis_b) coincidence block to unit total.
 
     Blocks with no coincidences at all are marked unavailable rather than
     silently zeroed.
     """
-    d = counts.dim
     n_b = counts.n_bases
-    probs = np.zeros((n_b, d, n_b, d), dtype=np.float64)
-    avail = np.ones((n_b, n_b), dtype=bool)
-    for i in range(n_b):
-        for j in range(n_b):
-            block = counts.coincidence_block(i, j)
-            total = float(np.sum(block))
-            if total <= 0.0:
-                avail[i, j] = False
-            else:
-                probs[i, :, j, :] = block / total
-    return JointProbMatrix(dim=d, probs=probs, block_available=avail)
-
-
-def _format_count(x: float, exact: bool) -> str:
-    if not exact:
-        return str(int(round(x)))
-    return f"{x:.17g}"
+    coinc = counts.coincidences
+    # Each block summed as one contiguous run, the order np.sum of a block uses.
+    totals = coinc.transpose(0, 2, 1, 3).reshape(n_b, n_b, -1).sum(axis=-1)
+    avail = totals > 0
+    probs = np.divide(
+        coinc, totals[:, None, :, None], out=np.zeros_like(coinc), where=avail[:, None, :, None]
+    )
+    return JointProbMatrix(dim=counts.dim, probs=probs, block_available=avail)
 
 
 def save_counts(counts: CountMatrix, path) -> None:
     """Write the full grid in canonical setting order with LF line endings."""
-    d = counts.dim
-    lines = []
-    if counts.exact:
-        lines.append("# exact")
-    lines.append(",".join(CSV_HEADER))
-    for ba in range(counts.n_bases):
-        for ea in range(d):
-            for bb in range(counts.n_bases):
-                for eb in range(d):
-                    lines.append(
-                        f"{ba},{ea},{bb},{eb},"
-                        f"{_format_count(counts.singles_a[ba, ea, bb, eb], counts.exact)},"
-                        f"{_format_count(counts.singles_b[ba, ea, bb, eb], counts.exact)},"
-                        f"{_format_count(counts.coincidences[ba, ea, bb, eb], counts.exact)}"
-                    )
+    grid = np.stack([counts.singles_a, counts.singles_b, counts.coincidences])
+    settings = np.indices(grid.shape[1:]).reshape(4, -1).T
+    rows = np.column_stack([settings, grid.reshape(3, -1).T])
+    # %d prints -0.0 as 0; %.17g is the text of f"{x:.17g}".
+    fmt = ",".join(["%d"] * 4 + ["%.17g" if counts.exact else "%d"] * 3) + "\n"
+    header = ("# exact\n" if counts.exact else "") + ",".join(CSV_HEADER) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "".join([fmt % tuple(row) for row in rows.tolist()]))
 
 
 def load_counts(
@@ -137,20 +134,19 @@ def load_counts(
     """Parse a counts CSV, validating schema, ranges, and completeness.
 
     ``dim`` may be omitted, in which case it is inferred from the largest
-    element index and cross-checked against the number of bases seen.
+    element index and cross-checked against the number of bases seen; it
+    must lie in 2..10 either way.
     ``allow_float`` admits expectation-valued rows (the --prob path) and
     ``allow_partial`` skips the full-grid completeness check; missing
     setting pairs are stored as zeros.  A leading ``# exact`` comment,
     written by :func:`save_counts` for expectation-valued grids, turns on
     float parsing automatically.
     """
-    rows = []
+    linenos, settings, values = [], [], []
     seen_settings: set[tuple[int, ...]] = set()
     with open(path, encoding="utf-8", newline="") as fh:
-        lineno = 0
         header = None
-        for raw in fh:
-            lineno += 1
+        for lineno, raw in enumerate(fh, 1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 if header is None and text.lstrip("#").strip() == "exact":
@@ -172,64 +168,55 @@ def load_counts(
             except ValueError:
                 raise ParseError(f"non-integer setting index in {text!r}", lineno) from None
             try:
-                if allow_float:
-                    values = tuple(float(p) for p in parts[4:])
-                else:
-                    values = tuple(int(p) for p in parts[4:])
+                row = tuple(float(p) if allow_float else float(int(p)) for p in parts[4:])
             except ValueError:
                 kind = "numeric" if allow_float else "integer"
                 raise ParseError(f"non-{kind} count in {text!r}", lineno) from None
-            if any(v < 0 for v in values):
+            except OverflowError:
+                raise ParseError(f"count too large for a float in {text!r}", lineno) from None
+            if any(v < 0 for v in row):
                 raise ParseError(f"negative count in row {setting}", lineno)
             if any(s < 0 for s in setting):
                 raise ParseError(f"negative setting index in row {setting}", lineno)
             if setting in seen_settings:
                 raise ParseError(f"duplicate setting pair {setting}", lineno)
             seen_settings.add(setting)
-            rows.append((lineno, setting, values))
+            linenos.append(lineno)
+            settings.append(setting)
+            values.append(row)
     if header is None:
         raise ParseError("counts file holds no header row", 0)
 
+    # int64, or float64/object when an index is too large for int64.
+    index = np.array(settings).reshape(-1, 4)
     if dim is None:
-        if not rows:
+        if not settings:
             raise CountDataError("cannot infer dimension from an empty counts file")
-        max_elem = max(max(s[1], s[3]) for _, s, _ in rows)
-        max_basis = max(max(s[0], s[2]) for _, s, _ in rows)
-        dim = max_elem + 1
-        if max_basis + 1 != dim + 1:
+        dim = int(index[:, 1::2].max()) + 1
+        n_bases = int(index[:, ::2].max()) + 1
+        if n_bases != dim + 1:
             raise CountDataError(
-                f"inferred dimension {dim} inconsistent with {max_basis + 1} bases seen"
+                f"inferred dimension {dim} inconsistent with {n_bases} bases seen"
             )
+    if not 2 <= dim <= _MAX_DIM:
+        raise CountDataError(f"dimension {dim} outside the supported range 2..{_MAX_DIM}")
 
-    n_b = dim + 1
-    shape = (n_b, dim, n_b, dim)
-    singles_a = np.zeros(shape)
-    singles_b = np.zeros(shape)
-    coinc = np.zeros(shape)
-    seen = np.zeros(shape, dtype=bool)
-    for lineno, (ba, ea, bb, eb), (sa, sb, cc) in rows:
-        if ba >= n_b or bb >= n_b or ea >= dim or eb >= dim:
-            raise ParseError(
-                f"setting ({ba},{ea},{bb},{eb}) out of range for dimension {dim}", lineno
-            )
-        seen[ba, ea, bb, eb] = True
-        singles_a[ba, ea, bb, eb] = sa
-        singles_b[ba, ea, bb, eb] = sb
-        coinc[ba, ea, bb, eb] = cc
-
-    if not allow_partial and not np.all(seen):
-        missing = np.argwhere(~seen)
-        first = tuple(int(x) for x in missing[0])
+    shape = (dim + 1, dim, dim + 1, dim)
+    out = np.flatnonzero(np.any(index >= np.array(shape), axis=1))
+    if out.size:
+        i = out[0]
+        raise ParseError(
+            "setting ({},{},{},{}) out of range for dimension {}".format(*settings[i], dim),
+            linenos[i],
+        )
+    cells = np.ravel_multi_index(index.T.astype(np.intp), shape)
+    tallies = np.zeros((3, np.prod(shape)))
+    tallies[:, cells] = np.reshape(values, (-1, 3)).T
+    missing = np.flatnonzero(np.bincount(cells, minlength=tallies.shape[1]) == 0)
+    if not allow_partial and missing.size:
+        first = tuple(int(x) for x in np.unravel_index(missing[0], shape))
         raise CountDataError(
-            f"counts file is missing {len(missing)} setting pairs, first {first}; "
+            f"counts file is missing {missing.size} setting pairs, first {first}; "
             "pass the partial flag to accept incomplete grids"
         )
-
-    return CountMatrix(
-        dim=dim,
-        singles_a=singles_a,
-        singles_b=singles_b,
-        coincidences=coinc,
-        exact=allow_float,
-        metadata={"source": str(path)},
-    )
+    return _from_flat(dim, tallies, exact=allow_float, metadata={"source": str(path)})

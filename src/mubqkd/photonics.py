@@ -171,8 +171,15 @@ def synthesize_conjugate_records(
     pairing = pairing or identity_pairing
     settings = list(np.ndindex(table.dim + 1, table.dim))
     partners = [pairing(s) for s in settings]
+    index = np.array(partners)
+    out = np.flatnonzero(np.any((index < 0) | (index >= table.eta_b.shape), axis=1))
+    if out.size:
+        (basis, elem), partner = settings[out[0]], partners[out[0]]
+        raise CountDataError(
+            f"setting ({basis},{elem}) has partner {partner} out of range for dim {table.dim}"
+        )
     eta_a = table.eta_a.reshape(-1)
-    eta_b = table.eta_b[tuple(np.transpose(partners))]
+    eta_b = table.eta_b[tuple(index.T)]
     missing = np.flatnonzero(~(np.isfinite(eta_a) & np.isfinite(eta_b)))
     if missing.size:
         basis, elem = settings[missing[0]]

@@ -38,7 +38,7 @@ from typing import Literal
 import numpy as np
 
 from .bases import MubSet, _gram
-from .counts import CountMatrix
+from .counts import _MAX_DIM, CountMatrix, _from_flat
 from .errors import ConfigError, DimensionError
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
 from .states import isotropic_state, joint_prob_matrix
@@ -366,13 +366,6 @@ def _click_table(cfg: ProtocolConfig, mubs: MubSet):
     return weights, table.reshape(3, 3, -1)
 
 
-def _count_matrix(cfg: ProtocolConfig, tallies, **fields) -> CountMatrix:
-    """CountMatrix from (singles_a, singles_b, coincidences) over the flat cells."""
-    shape = (3, cfg.dim + 1, cfg.dim, cfg.dim + 1, cfg.dim)
-    singles_a, singles_b, coinc = np.reshape(tallies, shape).astype(np.float64)
-    return CountMatrix(cfg.dim, singles_a, singles_b, coinc, **fields)
-
-
 def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool, take_rows):
     """Run the session and return its counts; each chunk's logged rows go to take_rows.
 
@@ -413,8 +406,8 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
         take_rows(scratch[1][:k])
         pool.put(scratch)
 
-    return _count_matrix(
-        cfg, totals, metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
+    return _from_flat(
+        cfg.dim, totals, metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
     )
 
 
@@ -500,12 +493,12 @@ def expected_count_matrix(cfg: ProtocolConfig, mubs: MubSet) -> CountMatrix:
     p_setting = np.repeat(np.asarray(cfg.basis_bias) / cfg.dim, cfg.dim)
     per_cell = np.outer(p_setting, p_setting).ravel() * (weights @ table)
     meta = {"mode": cfg.mode, "rounds": cfg.rounds, "expectation": True}
-    return _count_matrix(cfg, cfg.rounds * per_cell, exact=True, metadata=meta)
+    return _from_flat(cfg.dim, cfg.rounds * per_cell, exact=True, metadata=meta)
 
 
 def _key_string(elems: np.ndarray, dim: int) -> str:
     """Key symbols as an ASCII digit string, one character per symbol."""
-    if dim > 10:
+    if dim > _MAX_DIM:
         raise DimensionError(
             f"key strings hold one decimal digit per symbol; d={dim} needs more"
         )

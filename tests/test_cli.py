@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import os
 import re
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubqkd import ProtocolConfig, cli, mub_set, run_eb_session, run_pm_session
 from mubqkd.bases import load_bases
-from mubqkd.counts import load_counts
+from mubqkd.counts import CSV_HEADER, load_counts
 from mubqkd.errors import NumericError
 from mubqkd.photonics import (
     CountRecord,
@@ -556,3 +561,97 @@ def test_subcommand_help_lists_its_options(command, capsys):
         assert "bias parameter or full comma-separated weights" in text
     if command == "keyrate":
         assert "lo:hi:step" in text
+
+
+def test_simulate_exact_needs_no_seed(tmp_path):
+    args = ["simulate", "--mode", "pm", "--dim", "3", "--rounds", "1000", "--exact"]
+    no_seed, seeded = tmp_path / "x.csv", tmp_path / "x7.csv"
+    assert run_cli(*args, "--out", str(no_seed)) == 0
+    assert run_cli(*args, "--seed", "7", "--out", str(seeded)) == 0
+    assert no_seed.read_bytes() == seeded.read_bytes()
+
+
+def test_library_warnings_print_as_one_line(tmp_path, capsys):
+    counts = tmp_path / "e.csv"
+    assert run_cli(
+        "simulate", "--mode", "eb", "--dim", "3", "--rounds", "250000", "--seed", "1",
+        "--out", str(counts),
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("analyze", "--counts", str(counts)) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: bases") and err.count("\n") == 1
+    assert ".py:" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "efficiency"])
+def test_counts_dimension_is_bounded_before_allocating(tmp_path, capsys, command):
+    counts = tmp_path / "big.csv"
+    counts.write_text(",".join(CSV_HEADER) + "\n1000,999,1000,999,4,4,1\n")
+    assert run_cli(command, "--counts", str(counts)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: dimension 1000 outside the supported range 2..10\n"
+
+
+@st.composite
+def _malformed_counts(draw, command):
+    """A d = 2 counts file with one defect that every load must reject."""
+    exact = draw(st.booleans())
+    values = ["100.5", "99.25", "10.125"] if exact else ["100", "99", "10"]
+    rows = [[*map(str, cell), *values] for cell in np.ndindex(3, 2, 3, 2)]
+    header = ",".join(CSV_HEADER)
+    kinds = ["header", "fields", "non_integer", "negative", "huge_index", "huge_count",
+             "duplicate"]  # fmt: skip
+    if command == "analyze":  # efficiency loads partial grids
+        kinds.append("missing")
+    if exact:
+        kinds.append("non_finite")
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "header":
+        header = draw(st.text(alphabet="abc_,0 ", max_size=40))
+    elif kind == "fields":
+        n = draw(st.integers(1, 12).filter(lambda n: n != 7))
+        rows[i] = (rows[i] + ["1"] * 12)[:n]
+    elif kind == "non_integer":
+        col = draw(st.integers(0, 3 if exact else 6))
+        rows[i][col] = draw(st.sampled_from(["1.5", "x", "", "1e3", "0x1", "--1", "nan", "inf"]))
+    elif kind == "negative":
+        rows[i][draw(st.integers(0, 6))] = str(-draw(st.integers(1, 10**30)))
+    elif kind == "huge_index":
+        rows[i][draw(st.integers(0, 3))] = str(draw(st.integers(3, 10**400)))
+    elif kind == "huge_count":  # above the singles, or too large for a float
+        rows[i][6] = "9" * draw(st.integers(3, 500))
+    elif kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    elif kind == "missing":
+        drop = draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+        rows = [row for j, row in enumerate(rows) if j not in drop]
+    else:
+        text = ["nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity", "1e400"]
+        rows[i][draw(st.integers(4, 6))] = draw(st.sampled_from(text))
+    lines = (["# exact"] if exact else []) + [header] + [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n", draw(st.sampled_from([[], ["--dim", "2"]]))
+
+
+@pytest.mark.parametrize("command", ["analyze", "efficiency"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_counts_fail_closed(command, data):
+    text, dim_args = data.draw(_malformed_counts(command))
+    outputs = {"analyze": ["--out-report", "r.txt", "--out-csv", "r.csv"],
+               "efficiency": ["--out", "eta.txt"]}  # fmt: skip
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        counts = os.path.join(tmp, "counts.csv")
+        with open(counts, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out_args = [a if a.startswith("--") else os.path.join(tmp, a) for a in outputs[command]]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(command, "--counts", counts, *dim_args, *out_args)
+        assert os.listdir(tmp) == ["counts.csv"]
+    assert code in (1, 2)
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("error: ", "numeric failure: "))
+    assert "Traceback" not in err.getvalue()

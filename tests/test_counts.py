@@ -232,3 +232,157 @@ def test_constructors_copy_before_freezing(build, field, make):
     assert arr.flags.writeable
     assert not stored.flags.writeable
     arr.flat[0] = arr.flat[0]
+
+
+# The element-by-element save, row-by-row scatter and per-block normalization
+# that the array paths replaced, kept as oracles for them.
+def _oracle_save(counts, path):
+    def fmt(x):
+        return f"{x:.17g}" if counts.exact else str(int(round(x)))
+
+    d, n = counts.dim, counts.n_bases
+    lines = ["# exact"] if counts.exact else []
+    lines.append(",".join(CSV_HEADER))
+    for ba, ea, bb, eb in np.ndindex(n, d, n, d):
+        cell = (ba, ea, bb, eb)
+        lines.append(
+            f"{ba},{ea},{bb},{eb},{fmt(counts.singles_a[cell])},"
+            f"{fmt(counts.singles_b[cell])},{fmt(counts.coincidences[cell])}"
+        )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _oracle_load(path, dim):
+    n = dim + 1
+    grids = np.zeros((3, n, dim, n, dim))
+    for line in path.read_text().splitlines():
+        if line.startswith("#") or line == ",".join(CSV_HEADER):
+            continue
+        parts = line.split(",")
+        cell = tuple(int(p) for p in parts[:4])
+        for grid, text in zip(grids, parts[4:]):
+            grid[cell] = float(text)
+    return grids
+
+
+def _oracle_normalize(counts):
+    d, n = counts.dim, counts.n_bases
+    probs = np.zeros((n, d, n, d))
+    avail = np.ones((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            block = counts.coincidence_block(i, j)
+            total = float(np.sum(block))
+            if total <= 0.0:
+                avail[i, j] = False
+            else:
+                probs[i, :, j, :] = block / total
+    return JointProbMatrix(dim=d, probs=probs, block_available=avail)
+
+
+def _random_counts(d, exact, seed):
+    rng = np.random.default_rng([seed, d, exact])
+    shape = (d + 1, d, d + 1, d)
+    sa = rng.integers(0, 5000, shape).astype(float)
+    sb = rng.integers(0, 5000, shape).astype(float)
+    cc = np.floor(np.minimum(sa, sb) * rng.random(shape))
+    if exact:
+        sa, sb = sa * rng.random(shape), sb * rng.random(shape)
+        cc = np.minimum(np.minimum(sa, sb), cc * rng.random(shape))
+    cc[1, :, 0, :] = 0.0  # an empty block
+    cc[0, 0, 0, 0] = -0.0
+    return CountMatrix(dim=d, singles_a=sa, singles_b=sb, coincidences=cc, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["integer", "exact"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_array_paths_match_the_oracles_bit_for_bit(tmp_path, d, exact):
+    counts = _random_counts(d, exact, seed=11)
+    path, want = tmp_path / "counts.csv", tmp_path / "oracle.csv"
+    save_counts(counts, path)
+    _oracle_save(counts, want)
+    assert path.read_bytes() == want.read_bytes()
+
+    loaded = load_counts(path)
+    assert loaded.exact == exact
+    got = np.stack([loaded.singles_a, loaded.singles_b, loaded.coincidences])
+    assert got.tobytes() == _oracle_load(path, d).tobytes()
+
+    want_jm, jm = _oracle_normalize(loaded), normalize_blocks(loaded)
+    assert jm.probs.tobytes() == want_jm.probs.tobytes()
+    assert np.array_equal(jm.block_available, want_jm.block_available)
+    assert not jm.block_available[1, 0]
+
+    # A partial file: every third row dropped, the holes loaded as zeros.
+    lines = want.read_text().splitlines(keepends=True)
+    head = 2 if exact else 1
+    partial = tmp_path / "partial.csv"
+    partial.write_text("".join(lines[:head] + lines[head::3]))
+    loaded = load_counts(partial, dim=d, allow_partial=True)
+    got = np.stack([loaded.singles_a, loaded.singles_b, loaded.coincidences])
+    assert got.tobytes() == _oracle_load(partial, d).tobytes()
+
+
+def test_negative_zero_is_written_as_zero(tmp_path):
+    sa, sb, cc = _grid(2)
+    cc[0, 0, 0, 0] = -0.0
+    path = tmp_path / "counts.csv"
+    save_counts(CountMatrix(dim=2, singles_a=sa, singles_b=sb, coincidences=cc), path)
+    assert "0,0,0,0,100,100,0\n" in path.read_text()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_counts(value):
+    sa, sb, cc = _grid(2)
+    sb[1, 0, 2, 1] = value
+    with pytest.raises(CountDataError, match="singles_b contains a non-finite value"):
+        CountMatrix(dim=2, singles_a=sa, singles_b=sb, coincidences=cc, exact=True)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+def test_load_rejects_non_finite_exact_counts(tmp_path, text):
+    counts = make_counts(2, exact=True)
+    path = tmp_path / "exact.csv"
+    save_counts(counts, path)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CountDataError, match="non-finite"):
+        load_counts(path)
+
+
+@pytest.mark.parametrize("dim", [1000, 11, 1, 0, -3])
+def test_load_rejects_dimension_outside_range_before_allocating(tmp_path, dim):
+    counts = make_counts(2)
+    path = tmp_path / "counts.csv"
+    save_counts(counts, path)
+    with pytest.raises(CountDataError, match=f"dimension {dim} outside the supported range 2..10"):
+        load_counts(path, dim=dim)
+
+
+def test_load_rejects_inferred_dimension_outside_range(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n1000,999,1000,999,4,4,1\n")
+    with pytest.raises(CountDataError, match="dimension 1000 outside"):
+        load_counts(path)
+
+
+def test_load_out_of_range_reports_first_offending_line(tmp_path):
+    path = tmp_path / "range.csv"
+    rows = ["0,0,0,0,5,5,1", "0,0,0,1,5,5,1", "3,0,0,0,5,5,1", "0,5,0,0,5,5,1"]
+    path.write_text("\n".join([",".join(CSV_HEADER), "# note", *rows]) + "\n")
+    want = r"line 5: setting \(3,0,0,0\) out of range for dimension 2"
+    with pytest.raises(ParseError, match=want):
+        load_counts(path, dim=2, allow_partial=True)
+    huge = "0,0,0," + "9" * 30 + ",5,5,1"
+    path.write_text("\n".join([",".join(CSV_HEADER), "0,0,0,0,5,5,1", huge]) + "\n")
+    with pytest.raises(ParseError, match="line 3: setting"):
+        load_counts(path, dim=2, allow_partial=True)
+
+
+def test_load_rejects_integer_count_too_large_for_a_float(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n0,0,0,0," + "9" * 400 + ",5,1\n")
+    with pytest.raises(ParseError, match="line 2: count too large"):
+        load_counts(path, dim=2, allow_partial=True)

@@ -1,5 +1,7 @@
 """Tests for the down-conversion source model and efficiency estimation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,18 @@ def test_array_path_matches_loops_bitwise(dim, sampled, shifted):
                 for row in eta
             ]
             assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "pairing, partner",
+    [
+        (lambda s: (-1, s[1]), "(-1, 0)"),
+        (lambda s: (s[0], 2), "(0, 2)"),
+        (lambda s: (3, s[1]), "(3, 0)"),
+    ],
+    ids=["negative-basis", "element-past-end", "basis-past-end"],
+)
+def test_synthesis_rejects_out_of_range_partner(pairing, partner):
+    params = SourceParams(pulses=10**6, alpha_sq=0.1, chi=0.5)
+    with pytest.raises(CountDataError, match=re.escape(f"setting (0,0) has partner {partner} out")):
+        synthesize_conjugate_records(params, reference_table(), pairing)
