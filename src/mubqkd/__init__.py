@@ -36,7 +36,6 @@ from .photonics import (
     PairRouting,
     SourceParams,
     UniformityReport,
-    click_prob_n,
     efficiency_uniformity,
     estimate_efficiency,
     expected_coincidences,
@@ -56,7 +55,6 @@ from .protocol import (
     expected_count_matrix,
     run_eb_session,
     run_pm_session,
-    sample_setting,
     sift,
 )
 from .security import (
@@ -69,22 +67,16 @@ from .security import (
     isotropic_joint_distribution,
     joint_distribution_from_counts,
     key_rate,
-    keymap_information,
     mutual_information,
     q_max,
-    qber_per_basis,
     shannon_entropy,
 )
 from .states import (
     DensityOperator,
     JointProbMatrix,
-    conjugate_ket,
     isotropic_state,
-    joint_prob,
     joint_prob_matrix,
     maximally_entangled,
-    partial_trace,
-    pm_overlap_prob,
     visibility_for_qber,
 )
 

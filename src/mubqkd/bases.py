@@ -57,27 +57,18 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def overlap(self, other: "Ket") -> complex:
-        """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise DimensionError(f"ket dimensions differ: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """An ordered orthonormal basis of a d-dimensional space.
+    """An ordered basis of d unit vectors in a d-dimensional space.
 
-    ``check=False`` skips the orthonormality test so that deliberately
-    broken sets can be assembled for diagnostics; every construction path
-    inside the package keeps the check on.
+    Orthonormality is checked by the MubSet that holds the basis.
     """
 
     label: str
     vectors: tuple[Ket, ...]
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         vectors = tuple(self.vectors)
         object.__setattr__(self, "vectors", vectors)
         if not vectors:
@@ -89,12 +80,6 @@ class Basis:
             raise DimensionError(
                 f"basis {self.label!r} has {len(vectors)} vectors for dimension {d}"
             )
-        if check:
-            defect = orthonormality_defect(self)
-            if defect > ORTHONORMALITY_TOL:
-                raise ValueError(
-                    f"basis {self.label!r} is not orthonormal: max defect {defect:.3e}"
-                )
 
     @property
     def dim(self) -> int:
@@ -108,7 +93,12 @@ class Basis:
 
 @dataclass(frozen=True, eq=False)
 class MubSet:
-    """A complete family of d+1 pairwise mutually unbiased bases."""
+    """A complete family of d+1 pairwise mutually unbiased bases.
+
+    ``check=False`` skips the orthonormality and unbiasedness tests so that
+    deliberately broken sets can be assembled for diagnostics; every
+    construction path inside the package keeps the checks on.
+    """
 
     dim: int
     bases: tuple[Basis, ...]
@@ -129,6 +119,11 @@ class MubSet:
         object.__setattr__(self, "_stack", stack)
         if check:
             report = unbiasedness_report(self)
+            if report.max_orthonormality_defect > ORTHONORMALITY_TOL:
+                raise ValueError(
+                    "bases are not orthonormal: max defect "
+                    f"{report.max_orthonormality_defect:.3e}"
+                )
             if report.max_unbiased_deviation > UNBIASEDNESS_TOL:
                 raise ValueError(
                     "bases are not mutually unbiased: max overlap deviation "
@@ -139,9 +134,6 @@ class MubSet:
     def n_bases(self) -> int:
         return len(self.bases)
 
-    def ket(self, basis: int, element: int) -> Ket:
-        return self.bases[basis].vectors[element]
-
 
 @dataclass(frozen=True)
 class UnbiasednessReport:
@@ -149,13 +141,6 @@ class UnbiasednessReport:
 
     max_unbiased_deviation: float
     max_orthonormality_defect: float
-
-
-def orthonormality_defect(basis: Basis) -> float:
-    """Largest entrywise deviation of the Gram matrix from the identity."""
-    m = basis.matrix
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(basis.dim))))
 
 
 def _gram(mubs: MubSet) -> np.ndarray:

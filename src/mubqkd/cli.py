@@ -306,7 +306,7 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"sweep must hold three numbers, got {text!r}") from None
-    if step <= 0 or hi < lo or lo < 0:
+    if not (0 <= lo <= hi < np.inf and 0 < step < np.inf):  # also rejects NaN
         raise ConfigError(f"bad sweep range {text!r}")
     return lo, hi, step
 

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .counts import _MAX_DIM
 from .errors import ConfigError, CountDataError, DimensionError, ParseError
 
 Setting = tuple[int, int]
@@ -40,7 +41,7 @@ class SourceParams:
     def __post_init__(self):
         if self.pulses < 0:
             raise ConfigError(f"pulse count must be nonnegative, got {self.pulses}")
-        if self.alpha_sq <= 0 or self.chi <= 0:
+        if not (self.alpha_sq > 0 and self.chi > 0):  # also rejects NaN
             raise ConfigError("alpha_sq and chi must be positive")
         if self.alpha_sq * self.chi >= PERTURBATIVE_CEILING:
             raise ConfigError(
@@ -65,15 +66,6 @@ class PairRouting:
 def pair_routing_probs() -> PairRouting:
     """The four equal-amplitude emission terms give (1/2, 1/4, 1/4)."""
     return PairRouting(ab=0.5, aa=0.25, bb=0.25)
-
-
-def click_prob_n(eta1: float, n: int) -> float:
-    """Click probability of a threshold detector facing n photons."""
-    if not 0.0 <= eta1 <= 1.0:
-        raise ValueError(f"single-photon efficiency must lie in [0, 1], got {eta1}")
-    if n < 0 or n != int(n):
-        raise ValueError(f"photon number must be a nonnegative integer, got {n}")
-    return 1.0 - (1.0 - eta1) ** int(n)
 
 
 def expected_singles(params: SourceParams, eta1: float) -> float:
@@ -305,6 +297,8 @@ def load_efficiency_table(path) -> EfficiencyTable:
         dim = int(lines[0][1].split()[1])
     except (IndexError, ValueError):
         raise ParseError("bad dimension line in efficiency table", lines[0][0]) from None
+    if not 2 <= dim <= _MAX_DIM:
+        raise ParseError(f"dimension {dim} outside the supported range 2..{_MAX_DIM}", lines[0][0])
     eta_a = np.full((dim + 1, dim), np.nan)
     eta_b = np.full((dim + 1, dim), np.nan)
     for lineno, text in lines[1:]:

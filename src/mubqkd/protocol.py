@@ -79,7 +79,7 @@ def default_basis_bias(d: int, epsilon: float = 0.1) -> tuple[float, ...]:
 def _check_bias(bias, n_bases: int) -> None:
     if len(bias) != n_bases:
         raise ConfigError(f"basis bias needs {n_bases} weights, got {len(bias)}")
-    if min(bias) < 0 or abs(sum(bias) - 1.0) > 1e-12:
+    if not (min(bias) >= 0 and abs(sum(bias) - 1.0) <= 1e-12):  # also rejects NaN
         raise ConfigError("basis bias weights must be nonnegative and sum to 1")
 
 
@@ -193,15 +193,6 @@ def _draw_setting(table: np.ndarray, u):
     for edge in table[:-1]:
         idx += u >= edge
     return idx
-
-
-def sample_setting(
-    bias: tuple[float, ...], mubs: MubSet, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw (basis, element): basis by bias weights, element uniformly."""
-    _check_bias(bias, mubs.n_bases)
-    setting = int(_draw_setting(_setting_table(bias, mubs.dim), rng.random()))
-    return divmod(setting, mubs.dim)
 
 
 def _chunk_rng(seed: int, chunk: int, stream: int = 0) -> np.random.Generator:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
-from .bases import Basis, MubSet
+from .bases import MubSet
 from .counts import CountMatrix
 from .errors import CountDataError, DimensionError, NumericError
-from .states import DensityOperator, _pair_probs, joint_prob_matrix
+from .states import DensityOperator, joint_prob_matrix
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -57,12 +57,9 @@ class Distribution:
 
     def marginal(self, index: int) -> "Distribution":
         """Marginal over one component of tuple-valued labels."""
-        return self.pushforward(lambda label: label[index])
-
-    def pushforward(self, mapping: Callable) -> "Distribution":
         acc: dict[Hashable, float] = {}
         for label, p in zip(self.labels, self.probs):
-            key = mapping(label)
+            key = label[index]
             acc[key] = acc.get(key, 0.0) + float(p)
         keys = sorted(acc, key=repr)
         return Distribution(tuple(keys), np.array([acc[k] for k in keys]))
@@ -87,19 +84,6 @@ def mutual_information(joint: Distribution) -> float:
     return h_a + h_b - shannon_entropy(joint)
 
 
-def keymap_information(
-    joint: Distribution,
-    keymap_a: Callable | None = None,
-    keymap_b: Callable | None = None,
-) -> float:
-    """Mutual information after each party coarse-grains outcomes to symbols."""
-    _require_pairs(joint)
-    map_a = keymap_a or (lambda a: a)
-    map_b = keymap_b or (lambda b: b)
-    pushed = joint.pushforward(lambda lab: (map_a(lab[0]), map_b(lab[1])))
-    return mutual_information(pushed)
-
-
 def isotropic_joint_distribution(d: int, q: float) -> Distribution:
     """Same-basis outcome pairs under isotropic noise with error rate q.
 
@@ -118,12 +102,6 @@ def isotropic_joint_distribution(d: int, q: float) -> Distribution:
             labels.append((a, b))
             probs.append((1.0 - q) / d if a == b else q / (d * (d - 1)))
     return Distribution(tuple(labels), np.array(probs))
-
-
-def qber_per_basis(rho: DensityOperator, basis: Basis) -> float:
-    """Error probability in one basis: both filters pass, elements differ."""
-    p = _pair_probs(rho, basis.matrix.T)
-    return float(np.sum(p, where=~np.eye(len(p), dtype=bool)))
 
 
 def average_qber(rho: DensityOperator, mubs: MubSet) -> float:

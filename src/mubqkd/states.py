@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import Ket, MubSet
+from .bases import MubSet
 from .errors import DimensionError
 
 HERMITICITY_TOL = 1e-12
@@ -106,62 +106,25 @@ def isotropic_state(d: int, v: float) -> DensityOperator:
     return DensityOperator(v * ent + (1.0 - v) * noise, dim=d)
 
 
-def conjugate_ket(k: Ket) -> Ket:
-    """Entrywise complex conjugate; Alice's physical filter for a listed vector."""
-    return Ket(np.conj(k.amplitudes))
+def joint_prob_matrix(rho: DensityOperator, mubs: MubSet) -> JointProbMatrix:
+    """All joint probabilities with Alice conjugated, over every setting pair.
 
-
-def joint_prob(rho: DensityOperator, a: Ket, b: Ket) -> float:
-    """Probability that local filters a and b both pass: tr[(P_a x P_b) rho]."""
-    if a.dim * b.dim != rho.dim * rho.dim:
-        raise DimensionError(
-            f"filters of dimension {a.dim} x {b.dim} do not fit a state on "
-            f"{rho.dim}^2 dimensions"
-        )
-    ab = np.kron(a.amplitudes, b.amplitudes)
-    val = np.vdot(ab, rho.matrix @ ab).real
-    return float(max(val, 0.0))
-
-
-def _pair_probs(rho: DensityOperator, vectors: np.ndarray) -> np.ndarray:
-    """p[a, b] = tr[(P_a* x P_b) rho] for every pair of rows of an (n, d) array.
-
-    Alice's filter is the conjugate of row a, Bob's is row b.
+    probs[i, k, j, m] = tr[(P_ik* x P_jm) rho]: Alice's filter is the
+    conjugate of vector k of basis i, Bob's is vector m of basis j.
     """
-    d, d_filter = rho.dim, vectors.shape[-1]
-    if d_filter != d:
-        raise DimensionError(f"filter dimension {d_filter} does not match state dimension {d}")
-    p = np.einsum("ax,au->axu", vectors, vectors.conj()).reshape(len(vectors), d * d)
+    d, n_b = mubs.dim, mubs.n_bases
+    if rho.dim != d:
+        raise DimensionError(f"filter dimension {d} does not match state dimension {rho.dim}")
+    vectors = mubs._stack.reshape(n_b * d, d)
+    p = np.einsum("ax,au->axu", vectors, vectors.conj()).reshape(n_b * d, d * d)
     r = rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     # Real products only: at this size a complex @ takes a threaded BLAS path (ms, not us).
     a, b, c, e = p.real, p.imag, r.real, r.imag
     val = (a @ c - b @ e) @ a.T + (a @ e + b @ c) @ b.T
-    return np.maximum(val, 0.0)
-
-
-def joint_prob_matrix(rho: DensityOperator, mubs: MubSet) -> JointProbMatrix:
-    """All joint probabilities with Alice conjugated, over every setting pair."""
-    d, n_b = mubs.dim, mubs.n_bases
-    probs = _pair_probs(rho, mubs._stack.reshape(n_b * d, d)).reshape(n_b, d, n_b, d)
+    probs = np.maximum(val, 0.0).reshape(n_b, d, n_b, d)
     return JointProbMatrix(
         dim=d, probs=probs, block_available=np.ones((n_b, n_b), dtype=bool)
     )
-
-
-def pm_overlap_prob(prep: Ket, filt: Ket) -> float:
-    """Detection probability |<filter|prep>|^2 in the prepare-and-measure picture."""
-    return float(abs(filt.overlap(prep)) ** 2)
-
-
-def partial_trace(rho: DensityOperator, keep: int) -> np.ndarray:
-    """Reduced state of one side: keep=0 for the first qudit, 1 for the second."""
-    if keep not in (0, 1):
-        raise ValueError(f"keep must be 0 or 1, got {keep}")
-    d = rho.dim
-    m = rho.matrix.reshape(d, d, d, d)
-    if keep == 0:
-        return np.einsum("ikjk->ij", m)
-    return np.einsum("kikj->ij", m)
 
 
 def visibility_for_qber(d: int, q: float) -> float:

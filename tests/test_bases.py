@@ -11,7 +11,6 @@ from mubqkd.bases import (
     eigenbasis_xzl,
     mub_set,
     load_bases,
-    orthonormality_defect,
     save_bases,
     standard_basis,
     unbiasedness_report,
@@ -170,16 +169,18 @@ def test_ket_validation():
         k.amplitudes[0] = 5  # frozen buffer
 
 
-def test_ket_overlap():
-    a = Ket(np.array([1.0, 0.0]))
-    b = Ket(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert abs(a.overlap(b) - 1 / np.sqrt(2)) < 1e-15
-
-
-def test_basis_orthonormality_enforced():
+def test_basis_orthonormality_enforced(tmp_path):
+    # A repeated vector still overlaps the other two bases by 1/2 each, so
+    # only the set's orthonormality check can catch it.
     v = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        Basis(label="bad", vectors=(Ket(v), Ket(v)))
+    b = mub_set(2).bases
+    bases = (Basis(label="bad", vectors=(Ket(v), Ket(v))), b[1], b[2])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        MubSet(dim=2, bases=bases)
+    path = tmp_path / "bases.txt"
+    save_bases(MubSet(dim=2, bases=bases, check=False), path)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        load_bases(path)
 
 
 def test_mubset_unbiasedness_enforced():
@@ -195,7 +196,6 @@ def test_unbiasedness_report_matches_pairwise_loop_on_repeated_basis():
     skew = Basis(
         label="skew",
         vectors=(Ket(eye[0]), Ket((eye[0] + eye[1]) / np.sqrt(2)), Ket(eye[2])),
-        check=False,
     )
     mubs = MubSet(dim=3, bases=(b[0], b[1], b[1], skew), check=False)
     mats = [basis.matrix for basis in mubs.bases]
@@ -204,7 +204,7 @@ def test_unbiasedness_report_matches_pairwise_loop_on_repeated_basis():
         for j in range(i + 1, len(mats)):
             overlaps = np.abs(mats[i].conj().T @ mats[j]) ** 2
             max_dev = max(max_dev, float(np.max(np.abs(overlaps - 1 / 3))))
-    max_defect = max(orthonormality_defect(basis) for basis in mubs.bases)
+    max_defect = max(float(np.max(np.abs(m.conj().T @ m - np.eye(3)))) for m in mats)
     report = unbiasedness_report(mubs)
     assert max_dev == pytest.approx(2 / 3, abs=1e-12)
     assert max_defect == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -213,13 +213,8 @@ def test_unbiasedness_report_matches_pairwise_loop_on_repeated_basis():
 
 
 def test_orthonormality_defect_zero_for_good_basis():
-    assert orthonormality_defect(standard_basis(3)) < 1e-15
-
-
-def test_mubset_ket_accessor():
-    mubs = mub_set(2)
-    k = mubs.ket(1, 0)
-    assert k is mubs.bases[1].vectors[0]
+    mubs = MubSet(dim=3, bases=(standard_basis(3),) * 4, check=False)
+    assert unbiasedness_report(mubs).max_orthonormality_defect < 1e-15
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -90,10 +90,13 @@ def test_keyrate_requires_exactly_one_mode():
                    "--sweep", "0:0.1:0.01") == 1
 
 
-def test_keyrate_rejects_bad_sweep():
+def test_keyrate_rejects_bad_sweep(capsys):
     assert run_cli("keyrate", "--dim", "2", "--sweep", "0:0.1") == 1
     assert run_cli("keyrate", "--dim", "2", "--sweep", "0.1:0:0.01") == 1
     assert run_cli("keyrate", "--dim", "2", "--sweep", "a:b:c") == 1
+    capsys.readouterr()
+    assert run_cli("keyrate", "--dim", "2", "--sweep", "0:nan:0.01") == 1
+    assert capsys.readouterr().err == "error: bad sweep range '0:nan:0.01'\n"
 
 
 def test_keyrate_out_of_domain_is_validation_error():
@@ -591,6 +594,54 @@ def test_counts_dimension_is_bounded_before_allocating(tmp_path, capsys, command
     assert run_cli(command, "--counts", str(counts)) == 1
     err = capsys.readouterr().err
     assert err == "error: dimension 1000 outside the supported range 2..10\n"
+
+
+@pytest.mark.parametrize("dim", ["1", "99999"])
+def test_eta_file_dimension_is_bounded_before_allocating(tmp_path, capsys, dim):
+    eta, out = tmp_path / "eta.txt", tmp_path / "c.csv"
+    eta.write_text(f"dim {dim}\nindex eta_a eta_b\n")
+    code = run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1",
+        "--eta-file", str(eta), "--out", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line 1: dimension {dim} outside the supported range 2..10\n"
+    assert not out.exists()
+
+
+# Valid runs of the commands that take numbers; each case below breaks one value.
+_FINITE_ARGS = {
+    "simulate": ["--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1"],
+    "keyrate": ["--dim", "2"],
+}
+# Every float option of the option table, plus the options that carry numbers in text.
+_NUMERIC_OPTIONS = [
+    (command, key, "{}")
+    for command, (_, _, options) in cli._COMMANDS.items()
+    for key, convert in options.items()
+    if convert is float
+] + [
+    ("simulate", "bias", "{}"),
+    ("simulate", "bias", "{},0.5,0.5"),
+    ("keyrate", "sweep", "{}:0.1:0.01"),
+    ("keyrate", "sweep", "0:{}:0.01"),
+    ("keyrate", "sweep", "0:0.1:{}"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key, template", _NUMERIC_OPTIONS)
+def test_non_finite_values_fail_closed(tmp_path, capsys, command, key, template, value):
+    # --flag=value: argparse would take a separate "-inf" for a flag.
+    flag = f"--{key.replace('_', '-')}={template.format(value)}"
+    code = run_cli(command, *_FINITE_ARGS[command], flag, "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @st.composite

@@ -10,7 +10,6 @@ from mubqkd.photonics import (
     CountRecord,
     EfficiencyTable,
     SourceParams,
-    click_prob_n,
     efficiency_uniformity,
     estimate_efficiency,
     expected_coincidences,
@@ -40,6 +39,9 @@ def test_source_params_validation():
         SourceParams(pulses=10, alpha_sq=0.0, chi=0.5)
     with pytest.raises(ConfigError):
         SourceParams(pulses=10, alpha_sq=1.0, chi=0.2)  # leaves perturbative regime
+    for alpha_sq, chi in [(np.nan, 0.5), (0.1, np.nan), (np.inf, 0.5), (-np.inf, 0.5)]:
+        with pytest.raises(ConfigError):
+            SourceParams(pulses=10, alpha_sq=alpha_sq, chi=chi)
 
 
 def test_pair_prob():
@@ -51,17 +53,6 @@ def test_routing_probabilities():
     r = pair_routing_probs()
     assert (r.ab, r.aa, r.bb) == (0.5, 0.25, 0.25)
     assert r.ab + r.aa + r.bb == 1.0
-
-
-def test_click_prob_n():
-    assert click_prob_n(0.3, 0) == 0.0
-    assert click_prob_n(0.3, 1) == pytest.approx(0.3)
-    assert click_prob_n(0.3, 2) == pytest.approx(1 - 0.7**2)
-    assert click_prob_n(1.0, 5) == 1.0
-    with pytest.raises(ValueError):
-        click_prob_n(1.5, 1)
-    with pytest.raises(ValueError):
-        click_prob_n(0.5, -1)
 
 
 def test_expected_rates_formulas():

@@ -24,7 +24,6 @@ from mubqkd.protocol import (
     pm_effective_overlaps,
     run_eb_session,
     run_pm_session,
-    sample_setting,
     sift,
 )
 from mubqkd.states import isotropic_state, joint_prob_matrix
@@ -72,6 +71,9 @@ def test_config_validation():
         eb_config(basis_bias=(0.5, 0.5))  # needs d + 1 weights
     with pytest.raises(ConfigError):
         eb_config(basis_bias=(0.5, 0.6, -0.1))
+    for bad in [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5), (np.inf, 0.5, 0.5), (0.5, 0.5, -np.inf)]:
+        with pytest.raises(ConfigError):
+            eb_config(basis_bias=bad)
     with pytest.raises(ConfigError):
         eb_config(source=None)  # entanglement-based needs a source
     # Prepare-and-measure works without a source.
@@ -87,16 +89,12 @@ def test_config_rejects_incomplete_efficiencies():
 
 
 def test_sample_setting_respects_bias():
-    mubs = mub_set(2)
-    rng = np.random.default_rng(1)
-    bias = (0.8, 0.1, 0.1)
-    draws = [sample_setting(bias, mubs, rng) for _ in range(4000)]
-    bases = np.array([b for b, _ in draws])
-    elems = np.array([e for _, e in draws])
+    u = np.random.default_rng(1).random(4000)
+    bases, elems = np.divmod(_draw_setting(_setting_table((0.8, 0.1, 0.1), 2), u), 2)
     assert abs(np.mean(bases == 0) - 0.8) < 0.03
     assert abs(np.mean(elems) - 0.5) < 0.03
     with pytest.raises(ConfigError):
-        sample_setting((1.0,), mubs, rng)
+        eb_config(basis_bias=(1.0,))
 
 
 def test_setting_draw_matches_searchsorted():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mubqkd.bases import mub_set, standard_basis
+from mubqkd.bases import mub_set
 from mubqkd.counts import CountMatrix
 from mubqkd.errors import CountDataError, DimensionError, NumericError
 from mubqkd.protocol import ProtocolConfig, expected_count_matrix
@@ -18,14 +18,12 @@ from mubqkd.security import (
     isotropic_joint_distribution,
     joint_distribution_from_counts,
     key_rate,
-    keymap_information,
     mutual_information,
     q_max,
-    qber_per_basis,
     report_csv_rows,
     shannon_entropy,
 )
-from mubqkd.states import conjugate_ket, isotropic_state, joint_prob
+from mubqkd.states import isotropic_state, joint_prob_matrix
 
 # Frozen reference values, computed independently from the closed forms
 # r(d, Q) = log2 d + t log2(Q / (d (d-1))) + (1 - t) log2(1 - t) with
@@ -43,6 +41,22 @@ MUTUAL_INFO_REFERENCE = {
     (4, 0.088): 1.430764690632778,
     (5, 0.140): 1.4576892832445063,
 }
+def _qber_per_basis(rho, basis):
+    """Error rate of one basis: tr[(P_k* x P_m) rho] summed over k != m, cell by cell."""
+    want = 0.0
+    for k, a in enumerate(basis.vectors):
+        for m, b in enumerate(basis.vectors):
+            if m != k:
+                ab = np.kron(np.conj(a.amplitudes), b.amplitudes)
+                want += max(np.vdot(ab, rho.matrix @ ab).real, 0.0)
+    return want
+
+
+def _block_qber(jm, basis):
+    """Off-diagonal sum of one same-basis block of a JointProbMatrix."""
+    return float(np.sum(jm.block(basis, basis), where=~np.eye(jm.dim, dtype=bool)))
+
+
 Q_MAX_REFERENCE = {
     2: 0.126193,
     3: 0.191391,
@@ -79,18 +93,11 @@ def test_mutual_information_independent_and_perfect():
     assert mutual_information(indep) == pytest.approx(0.0, abs=1e-12)
     perfect = Distribution(labels, np.array([0.5, 0.0, 0.0, 0.5]))
     assert mutual_information(perfect) == pytest.approx(1.0)
+    labels = tuple((a, b) for a in range(4) for b in range(4))
+    perfect = Distribution(labels, np.array([0.25 if a == b else 0.0 for a, b in labels]))
+    assert mutual_information(perfect) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         mutual_information(Distribution((0, 1), np.array([0.5, 0.5])))
-
-
-def test_keymap_information_coarse_grains():
-    labels = tuple((a, b) for a in range(4) for b in range(4))
-    probs = np.array([0.25 if a == b else 0.0 for a, b in labels])
-    joint = Distribution(labels, probs)
-    assert keymap_information(joint) == pytest.approx(2.0)
-    # Grouping outcomes into two symbols halves the information.
-    half = keymap_information(joint, lambda a: a // 2, lambda b: b // 2)
-    assert half == pytest.approx(1.0)
 
 
 def test_isotropic_joint_distribution_structure():
@@ -117,35 +124,32 @@ def test_qber_of_isotropic_state_matches_closed_form():
         mubs = mub_set(d)
         rho = isotropic_state(d, v)
         want = (1 - v) * (d - 1) / d
-        for basis in mubs.bases:
-            assert qber_per_basis(rho, basis) == pytest.approx(want, abs=1e-12)
+        jm = joint_prob_matrix(rho, mubs)
+        for i in range(mubs.n_bases):
+            assert _block_qber(jm, i) == pytest.approx(want, abs=1e-12)
         assert average_qber(rho, mubs) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
 def test_qber_per_basis_matches_kron_loop(d, random_state):
     rho = random_state(d)
-    for basis in mub_set(d).bases:
-        want = 0.0
-        for k, vec in enumerate(basis.vectors):
-            filt = conjugate_ket(vec)
-            for m, other in enumerate(basis.vectors):
-                if m != k:
-                    want += joint_prob(rho, filt, other)
-        assert abs(qber_per_basis(rho, basis) - want) < 1e-14
+    mubs = mub_set(d)
+    jm = joint_prob_matrix(rho, mubs)
+    for i, basis in enumerate(mubs.bases):
+        assert abs(_block_qber(jm, i) - _qber_per_basis(rho, basis)) < 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
 def test_average_qber_matches_per_basis_mean(d, random_state):
     rho = random_state(d)
     mubs = mub_set(d)
-    want = np.mean([qber_per_basis(rho, basis) for basis in mubs.bases])
+    want = np.mean([_qber_per_basis(rho, basis) for basis in mubs.bases])
     assert abs(average_qber(rho, mubs) - want) < 1e-15
 
 
 def test_qber_per_basis_rejects_dimension_mismatch():
     with pytest.raises(DimensionError):
-        qber_per_basis(isotropic_state(3, 0.9), standard_basis(2))
+        joint_prob_matrix(isotropic_state(3, 0.9), mub_set(2))
 
 
 def test_key_rate_zero_error_is_log2_d():

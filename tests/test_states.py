@@ -3,18 +3,25 @@
 import numpy as np
 import pytest
 
-from mubqkd.bases import Ket, mub_set
+from mubqkd.bases import mub_set
+from mubqkd.protocol import pm_effective_overlaps
 from mubqkd.states import (
     DensityOperator,
-    conjugate_ket,
     isotropic_state,
-    joint_prob,
     joint_prob_matrix,
     maximally_entangled,
-    partial_trace,
-    pm_overlap_prob,
     visibility_for_qber,
 )
+
+
+def _joint_prob(rho, a, b):
+    """tr[(P_a x P_b) rho] for filter vectors a and b, one Kronecker product per cell."""
+    ab = np.kron(a, b)
+    return max(np.vdot(ab, rho.matrix @ ab).real, 0.0)
+
+
+def _vector(mubs, basis, element):
+    return mubs.bases[basis].vectors[element].amplitudes
 
 
 def test_maximally_entangled_projector():
@@ -45,22 +52,6 @@ def test_isotropic_state_limits():
         isotropic_state(d, 1.2)
     with pytest.raises(ValueError):
         isotropic_state(d, -0.1)
-
-
-def test_partial_trace_of_entangled_state_is_maximally_mixed():
-    for d in (2, 3):
-        rho = isotropic_state(d, 0.83)
-        for keep in (0, 1):
-            red = partial_trace(rho, keep)
-            assert np.allclose(red, np.eye(d) / d, atol=1e-14)
-    with pytest.raises(ValueError):
-        partial_trace(isotropic_state(2, 1.0), 2)
-
-
-def test_conjugate_ket():
-    k = Ket(np.array([1.0, 1.0j]) / np.sqrt(2))
-    ck = conjugate_ket(k)
-    assert np.allclose(ck.amplitudes, np.array([1.0, -1.0j]) / np.sqrt(2))
 
 
 def test_same_basis_block_structure():
@@ -109,9 +100,9 @@ def test_joint_prob_single_cell_matches_matrix():
     mubs = mub_set(d)
     rho = isotropic_state(d, 0.6)
     jm = joint_prob_matrix(rho, mubs)
-    a = conjugate_ket(mubs.ket(1, 0))
-    b = mubs.ket(1, 1)
-    assert abs(joint_prob(rho, a, b) - jm.probs[1, 0, 1, 1]) < 1e-14
+    a = np.conj(_vector(mubs, 1, 0))
+    b = _vector(mubs, 1, 1)
+    assert abs(_joint_prob(rho, a, b) - jm.probs[1, 0, 1, 1]) < 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
@@ -123,18 +114,16 @@ def test_joint_prob_matrix_matches_per_entry_oracle(d, random_state):
     want = np.empty((n_b, d, n_b, d))
     for i in range(n_b):
         for k in range(d):
-            a = conjugate_ket(mubs.ket(i, k))
+            a = np.conj(_vector(mubs, i, k))
             for j in range(n_b):
                 for m in range(d):
-                    want[i, k, j, m] = joint_prob(rho, a, mubs.ket(j, m))
+                    want[i, k, j, m] = _joint_prob(rho, a, _vector(mubs, j, m))
     assert np.max(np.abs(jm.probs - want)) < 1e-14
 
 
 def test_pm_overlap_prob():
-    mubs = mub_set(2)
-    same = pm_overlap_prob(mubs.ket(0, 0), mubs.ket(0, 0))
-    other = pm_overlap_prob(mubs.ket(0, 0), mubs.ket(0, 1))
-    cross = pm_overlap_prob(mubs.ket(0, 0), mubs.ket(1, 0))
+    ov = pm_effective_overlaps(mub_set(2))
+    same, other, cross = ov[0, 0, 0, 0], ov[0, 0, 0, 1], ov[0, 0, 1, 0]
     assert abs(same - 1) < 1e-14
     assert abs(other) < 1e-14
     assert abs(cross - 0.5) < 1e-14
