@@ -31,7 +31,6 @@ from .errors import (
     ParseError,
 )
 from .photonics import (
-    CountRecord,
     EfficiencyTable,
     PairRouting,
     SourceParams,
@@ -58,7 +57,6 @@ from .protocol import (
     sift,
 )
 from .security import (
-    Distribution,
     SecurityReport,
     analyze_counts,
     average_qber,

@@ -85,11 +85,6 @@ class Basis:
     def dim(self) -> int:
         return self.vectors[0].dim
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """d x d array whose column k is vector k."""
-        return np.column_stack([v.amplitudes for v in self.vectors])
-
 
 @dataclass(frozen=True, eq=False)
 class MubSet:
@@ -383,6 +378,8 @@ def load_bases(path) -> MubSet:
         d = int(parts[1])
     except ValueError:
         raise ParseError(f"bad dimension {parts[1]!r}", n) from None
+    if d < 2:
+        raise ParseError(f"dimension {d} must be at least 2", n)
 
     bases = []
     for _ in range(d + 1):

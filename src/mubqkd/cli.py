@@ -28,7 +28,6 @@ from .errors import (
     ParseError,
 )
 from .photonics import (
-    CountRecord,
     SourceParams,
     _table_rows,
     efficiency_uniformity,
@@ -153,9 +152,11 @@ class _Options:
 
 def _parse_bias(text: str, d: int) -> tuple[float, ...]:
     """A lone number is the bias parameter; a comma list is the full vector."""
-    if "," in text:
-        return tuple(float(p) for p in text.split(","))
-    return default_basis_bias(d, float(text))
+    try:
+        values = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigError(f"bad bias {text!r}") from None
+    return values if "," in text else default_basis_bias(d, values[0])
 
 
 def _cmd_gen_bases(args: argparse.Namespace) -> int:
@@ -278,12 +279,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
         allow_float=bool(opts.get("prob", False)),
         allow_partial=True,
     )
-    tallies = (counts.singles_a, counts.singles_b, counts.coincidences)
-    records = [
-        CountRecord(b, e, b, e, *(float(t[b, e, b, e]) for t in tallies))
-        for b, e in np.ndindex(counts.n_bases, counts.dim)
-    ]
-    table = estimate_efficiency(records, counts.dim)
+    table = estimate_efficiency(counts, counts.dim)
     uniformity = efficiency_uniformity(table)
 
     out = opts.get("out")

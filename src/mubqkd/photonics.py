@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .counts import _MAX_DIM
+from .counts import _MAX_DIM, CountMatrix, _from_flat
 from .errors import ConfigError, CountDataError, DimensionError, ParseError
 
 Setting = tuple[int, int]
@@ -113,39 +113,23 @@ class EfficiencyTable:
         return bool(np.all(np.isfinite(self.eta_a)) and np.all(np.isfinite(self.eta_b)))
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Raw tallies for one setting pair over one integration window.
-
-    Counts are floats so that exact-expectation synthesis can round-trip;
-    sampled and measured data use integral values.
-    """
-
-    basis_a: int
-    elem_a: int
-    basis_b: int
-    elem_b: int
-    singles_a: float
-    singles_b: float
-    coincidences: float
-
-    def __post_init__(self):
-        for name in ("singles_a", "singles_b", "coincidences"):
-            if getattr(self, name) < 0:
-                raise CountDataError(f"{name} is negative in record {self.setting_pair}")
-        if self.coincidences > min(self.singles_a, self.singles_b) + EFFICIENCY_SLACK:
-            raise CountDataError(
-                f"coincidences exceed singles in record {self.setting_pair}"
-            )
-
-    @property
-    def setting_pair(self) -> tuple[Setting, Setting]:
-        return ((self.basis_a, self.elem_a), (self.basis_b, self.elem_b))
-
-
 def identity_pairing(setting: Setting) -> Setting:
     """Default conjugate map: the listed vectors already pair like-with-like."""
     return setting
+
+
+def _partners(pairing: Pairing | None, dim: int) -> np.ndarray:
+    """Flat index basis * dim + elem of each setting's partner, settings in C order."""
+    settings = list(np.ndindex(dim + 1, dim))
+    partners = [(pairing or identity_pairing)(s) for s in settings]
+    index = np.array(partners)
+    out = np.flatnonzero(np.any((index < 0) | (index >= (dim + 1, dim)), axis=1))
+    if out.size:
+        (basis, elem), partner = settings[out[0]], partners[out[0]]
+        raise CountDataError(
+            f"setting ({basis},{elem}) has partner {partner} out of range for dim {dim}"
+        )
+    return index[:, 0] * dim + index[:, 1]
 
 
 def synthesize_conjugate_records(
@@ -153,28 +137,20 @@ def synthesize_conjugate_records(
     table: EfficiencyTable,
     pairing: Pairing | None = None,
     rng: np.random.Generator | None = None,
-) -> list[CountRecord]:
-    """Generate one record per setting at its conjugate partner.
+) -> CountMatrix:
+    """Counts at each setting's conjugate partner; every other cell stays zero.
 
-    Without an rng the records carry exact expectations; with one, counts
-    are Poisson-sampled around them (coincidences clamped to the physical
-    ceiling of the sampled singles, which never binds at realistic rates).
+    Without an rng the cells carry exact expectations (``exact=True``); with
+    one, counts are Poisson-sampled around them (coincidences clamped to the
+    physical ceiling of the sampled singles, which never binds at realistic
+    rates).
     """
-    pairing = pairing or identity_pairing
-    settings = list(np.ndindex(table.dim + 1, table.dim))
-    partners = [pairing(s) for s in settings]
-    index = np.array(partners)
-    out = np.flatnonzero(np.any((index < 0) | (index >= table.eta_b.shape), axis=1))
-    if out.size:
-        (basis, elem), partner = settings[out[0]], partners[out[0]]
-        raise CountDataError(
-            f"setting ({basis},{elem}) has partner {partner} out of range for dim {table.dim}"
-        )
+    partner = _partners(pairing, table.dim)
     eta_a = table.eta_a.reshape(-1)
-    eta_b = table.eta_b[tuple(index.T)]
+    eta_b = table.eta_b.reshape(-1)[partner]
     missing = np.flatnonzero(~(np.isfinite(eta_a) & np.isfinite(eta_b)))
     if missing.size:
-        basis, elem = settings[missing[0]]
+        basis, elem = divmod(int(missing[0]), table.dim)
         raise CountDataError(f"efficiency table is missing setting ({basis},{elem}) or partner")
     # One row per setting: (singles_a, singles_b, coincidences).
     mu_sa, mu_sb = expected_singles(params, eta_a), expected_singles(params, eta_b)
@@ -184,50 +160,35 @@ def synthesize_conjugate_records(
     else:
         tallies = rng.poisson(mu).astype(np.float64)  # draws row by row, as scalar calls would
         tallies[:, 2] = tallies.min(axis=1)
-    return [
-        CountRecord(*setting, *partner, *tally)
-        for setting, partner, tally in zip(settings, partners, tallies.tolist())
-    ]
+    n_s = len(partner)
+    grid = np.zeros((3, n_s * n_s))
+    grid[:, np.arange(n_s) * n_s + partner] = tallies.T
+    return _from_flat(table.dim, grid, exact=rng is None)
 
 
 def estimate_efficiency(
-    records: list[CountRecord],
+    counts: CountMatrix,
     dim: int,
     pairing: Pairing | None = None,
 ) -> EfficiencyTable:
-    """Recover per-setting efficiencies from conjugate-pair records.
+    """Recover per-setting efficiencies from each setting's conjugate cell.
 
-    Uses eta_b = 2 C / singles_a and eta_a = 2 C / singles_b.  Records for
-    the same setting pair are pooled by summing counts before the ratio is
-    taken; the pairing makes B's setting a function of A's, so the pool is
-    indexed by A's setting.  Pairs with no coincidences carry no efficiency
-    information and stay missing in the table.  Raises when a record is not
-    a conjugate pair under ``pairing`` or lies outside the dimension, when a
-    ratio exceeds one (a zero singles tally under coincidences gives an
-    infinite ratio), or when no pair had coincidences at all.
+    For each of A's settings the cell at its partner under ``pairing`` gives
+    eta_b = 2 C / singles_a and eta_a = 2 C / singles_b; no other cell is
+    read.  Settings with no coincidences carry no efficiency information and
+    stay missing in the table.  Raises when ``dim`` is not the dimension of
+    the counts, when a ratio exceeds one (a zero singles tally under
+    coincidences gives an infinite ratio), or when no pair had coincidences
+    at all.
     """
-    pairing = pairing or identity_pairing
-    rows = []  # flat indices of A's and of B's setting per record
-    for rec in records:
-        (ba, ea), (bb, eb) = setting_a, setting_b = rec.setting_pair
-        if pairing(setting_a) != setting_b:
-            raise CountDataError(
-                f"record {rec.setting_pair} is not a conjugate-correlated pair"
-            )
-        if min(ba, bb, ea, eb) < 0 or max(ba, bb) > dim or max(ea, eb) >= dim:
-            raise CountDataError(
-                f"record setting (({ba},{ea}),({bb},{eb})) out of range for dim {dim}"
-            )
-        rows.append((ba * dim + ea, bb * dim + eb))
-    tally = np.zeros(((dim + 1) * dim, 3))  # (singles_a, singles_b, coincidences)
-    partner = np.zeros(len(tally), dtype=np.intp)
-    if records:
-        row_a, row_b = np.transpose(rows)
-        values = [(rec.singles_a, rec.singles_b, rec.coincidences) for rec in records]
-        np.add.at(tally, row_a, values)  # sums each setting's records in record order
-        partner[row_a] = row_b
-
-    singles_a, singles_b, coinc = tally.T
+    if dim != counts.dim:
+        raise DimensionError(f"counts have dimension {counts.dim}, expected {dim}")
+    partner = _partners(pairing, dim)
+    n_s = len(partner)
+    singles_a, singles_b, coinc = (
+        grid.reshape(n_s, n_s)[np.arange(n_s), partner]
+        for grid in (counts.singles_a, counts.singles_b, counts.coincidences)
+    )
     has = coinc > 0
     if not has.any():
         raise CountDataError("no setting pair had coincidences; nothing to estimate")
@@ -241,7 +202,7 @@ def estimate_efficiency(
             f"counts for pair (({ba},{ea}),({bb},{eb})) imply an efficiency "
             f"above one (eta_a={est_a[i]:.4g}, eta_b={est_b[i]:.4g})"
         )
-    eta_b = np.full(len(tally), np.nan)
+    eta_b = np.full(n_s, np.nan)
     eta_b[partner[has]] = est_b[has]
     shape = (dim + 1, dim)
     return EfficiencyTable(dim=dim, eta_a=est_a.reshape(shape), eta_b=eta_b.reshape(shape))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,63 +29,30 @@ PROBABILITY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """A finite probability distribution with hashable outcome labels."""
+def shannon_entropy(probs) -> float:
+    """Entropy in bits of a probability array of any shape.
 
-    labels: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or len(labels) != p.size:
-            raise DimensionError(
-                f"{len(labels)} labels for {p.size} probabilities"
-            )
-        if p.size == 0:
-            raise ValueError("distribution needs at least one outcome")
-        if np.min(p) < -PROBABILITY_TOL:
-            raise ValueError(f"negative probability {np.min(p):.3e}")
-        total = float(np.sum(p))
-        if abs(total - 1.0) > PROBABILITY_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        p = np.clip(p, 0.0, None) / total
-        p.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", p)
-
-    def marginal(self, index: int) -> "Distribution":
-        """Marginal over one component of tuple-valued labels."""
-        acc: dict[Hashable, float] = {}
-        for label, p in zip(self.labels, self.probs):
-            key = label[index]
-            acc[key] = acc.get(key, 0.0) + float(p)
-        keys = sorted(acc, key=repr)
-        return Distribution(tuple(keys), np.array([acc[k] for k in keys]))
-
-
-def shannon_entropy(dist: Distribution) -> float:
-    """Entropy in bits; zero-probability outcomes contribute nothing."""
-    p = dist.probs[dist.probs > 0]
+    The array is divided by its sum (within 1e-12 of one), and zero cells
+    contribute nothing.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    total = float(np.sum(p))
+    if not (abs(total - 1.0) <= PROBABILITY_TOL and np.min(p) >= -PROBABILITY_TOL):
+        raise ValueError(f"probabilities must be nonnegative and sum to 1 (sum {total!r})")
+    p = p[p > 0] / total
     return float(-np.sum(p * np.log2(p)))
 
 
-def _require_pairs(joint: Distribution) -> None:
-    if any(not isinstance(lab, tuple) or len(lab) != 2 for lab in joint.labels):
-        raise ValueError("joint distribution labels must be (a, b) pairs")
+def mutual_information(joint) -> float:
+    """I(A:B) = H(A) + H(B) - H(A,B) of a joint probability array indexed [a, b]."""
+    p = np.asarray(joint, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValueError(f"joint distribution must be a 2-D array, got {p.ndim} dimensions")
+    return shannon_entropy(p.sum(axis=1)) + shannon_entropy(p.sum(axis=0)) - shannon_entropy(p)
 
 
-def mutual_information(joint: Distribution) -> float:
-    """I(A:B) = H(A) + H(B) - H(A,B) of a pair-labeled distribution."""
-    _require_pairs(joint)
-    h_a = shannon_entropy(joint.marginal(0))
-    h_b = shannon_entropy(joint.marginal(1))
-    return h_a + h_b - shannon_entropy(joint)
-
-
-def isotropic_joint_distribution(d: int, q: float) -> Distribution:
-    """Same-basis outcome pairs under isotropic noise with error rate q.
+def isotropic_joint_distribution(d: int, q: float) -> np.ndarray:
+    """Same-basis outcome pairs [a, b] under isotropic noise with error rate q.
 
     Diagonal cells carry (1 - q)/d each, off-diagonal cells q/(d (d-1));
     this is the distribution every basis of a complete unbiased set sees.
@@ -95,13 +62,7 @@ def isotropic_joint_distribution(d: int, q: float) -> Distribution:
     ceiling = (d - 1) / d
     if not 0.0 <= q <= ceiling:
         raise ValueError(f"error rate {q} outside [0, {ceiling:.6f}] for d={d}")
-    labels = []
-    probs = []
-    for a in range(d):
-        for b in range(d):
-            labels.append((a, b))
-            probs.append((1.0 - q) / d if a == b else q / (d * (d - 1)))
-    return Distribution(tuple(labels), np.array(probs))
+    return np.where(np.eye(d, dtype=bool), (1.0 - q) / d, q / (d * (d - 1)))
 
 
 def average_qber(rho: DensityOperator, mubs: MubSet) -> float:
@@ -194,15 +155,14 @@ def holevo_gap(i_ab: float, r_min: float) -> float:
     return i_ab - r_min
 
 
-def joint_distribution_from_counts(counts: CountMatrix) -> Distribution:
-    """Outcome-pair distribution pooled over all same-basis coincidences."""
-    d, n_b = counts.dim, counts.n_bases
+def joint_distribution_from_counts(counts: CountMatrix) -> np.ndarray:
+    """Outcome-pair probabilities [a, b] pooled over all same-basis coincidences."""
+    n_b = counts.n_bases
     pooled = counts.coincidences[range(n_b), :, range(n_b), :].sum(axis=0)
     total = float(np.sum(pooled))
     if total <= 0.0:
         raise CountDataError("no same-basis coincidences to build a joint distribution")
-    labels = tuple((a, b) for a in range(d) for b in range(d))
-    return Distribution(labels, pooled.reshape(-1) / total)
+    return pooled / total
 
 
 @dataclass(frozen=True)
@@ -265,9 +225,7 @@ def analyze_counts(counts: CountMatrix, tol: float = DEFAULT_ROOT_TOL) -> Securi
     """Run the full post-processing chain on one counts matrix."""
     per_basis, q_avg = empirical_qber(counts)
     joint = joint_distribution_from_counts(counts)
-    h_a = shannon_entropy(joint.marginal(0))
-    h_b = shannon_entropy(joint.marginal(1))
-    h_ab = shannon_entropy(joint)
+    h_a, h_b, h_ab = (shannon_entropy(p) for p in (joint.sum(axis=1), joint.sum(axis=0), joint))
     i_ab = h_a + h_b - h_ab
     rate = key_rate(counts.dim, q_avg)
     ceiling = q_max(counts.dim, tol)

@@ -198,7 +198,7 @@ def test_unbiasedness_report_matches_pairwise_loop_on_repeated_basis():
         vectors=(Ket(eye[0]), Ket((eye[0] + eye[1]) / np.sqrt(2)), Ket(eye[2])),
     )
     mubs = MubSet(dim=3, bases=(b[0], b[1], b[1], skew), check=False)
-    mats = [basis.matrix for basis in mubs.bases]
+    mats = [np.column_stack([k.amplitudes for k in basis.vectors]) for basis in mubs.bases]
     max_dev = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -236,6 +236,14 @@ def test_load_rejects_garbage_with_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         load_bases(path)
     assert "line" in str(err.value)
+
+
+@pytest.mark.parametrize("dim", ["-1", "0", "1"])
+def test_load_rejects_dimension_below_two(tmp_path, dim):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"\ndim {dim}\n")
+    with pytest.raises(ParseError, match=f"^line 2: dimension {dim} must be at least 2$"):
+        load_bases(path)
 
 
 def test_load_rejects_trailing_content(tmp_path):

@@ -16,12 +16,7 @@ from mubqkd import ProtocolConfig, cli, mub_set, run_eb_session, run_pm_session
 from mubqkd.bases import load_bases
 from mubqkd.counts import CSV_HEADER, load_counts
 from mubqkd.errors import NumericError
-from mubqkd.photonics import (
-    CountRecord,
-    EfficiencyTable,
-    estimate_efficiency,
-    save_efficiency_table,
-)
+from mubqkd.photonics import EfficiencyTable, save_efficiency_table
 from mubqkd.protocol import CHUNK_ROUNDS
 
 
@@ -341,14 +336,14 @@ def test_efficiency_subcommand_matches_library(tmp_path, capsys):
     assert run_cli("efficiency", "--counts", str(counts_file), "--out", str(est_file)) == 0
     lines = capsys.readouterr().out.splitlines()
 
+    # eta_a = 2 C / S_B and eta_b = 2 C / S_A at each setting's own cell.
     counts = load_counts(counts_file)
-    records = [
-        CountRecord(b, e, b, e, counts.singles_a[b, e, b, e], counts.singles_b[b, e, b, e],
-                    counts.coincidences[b, e, b, e])
-        for b in range(3)
-        for e in range(2)
-    ]
-    table = estimate_efficiency(records, 2)
+    eta_a, eta_b = np.empty((3, 2)), np.empty((3, 2))
+    for b, e in np.ndindex(3, 2):
+        cell = (b, e, b, e)
+        eta_a[b, e] = 2.0 * counts.coincidences[cell] / counts.singles_b[cell]
+        eta_b[b, e] = 2.0 * counts.coincidences[cell] / counts.singles_a[cell]
+    table = EfficiencyTable(dim=2, eta_a=eta_a, eta_b=eta_b)
     want_file = tmp_path / "want.txt"
     save_efficiency_table(table, want_file)
     assert est_file.read_text() == want_file.read_text()
@@ -642,6 +637,15 @@ def test_non_finite_values_fail_closed(tmp_path, capsys, command, key, template,
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["0.5,,0.5", "0.5,x,0.5", "x", ""])
+def test_malformed_bias_names_the_option(tmp_path, capsys, text):
+    out = tmp_path / "z.csv"
+    code = run_cli("simulate", *_FINITE_ARGS["simulate"], f"--bias={text}", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: bad bias {text!r}\n"
+    assert not out.exists()
 
 
 @st.composite

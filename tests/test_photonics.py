@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from mubqkd.errors import ConfigError, CountDataError
+from mubqkd.counts import CountMatrix
+from mubqkd.errors import ConfigError, CountDataError, DimensionError
 from mubqkd.photonics import (
-    CountRecord,
     EfficiencyTable,
     SourceParams,
     efficiency_uniformity,
@@ -29,6 +29,15 @@ ETA_B = np.array([[0.02145, 0.02106], [0.00886, 0.00727], [0.00787, 0.00874]])
 
 def reference_table():
     return EfficiencyTable(dim=2, eta_a=ETA_A.copy(), eta_b=ETA_B.copy())
+
+
+def counts_with(cells, dim=2, fill=0.0, exact=False):
+    """A CountMatrix holding {(basis_a, elem_a, basis_b, elem_b): (s_a, s_b, c)}, else fill."""
+    n_b = dim + 1
+    grids = np.full((3, n_b, dim, n_b, dim), fill)
+    for cell, tally in cells.items():
+        grids[(slice(None), *cell)] = tally
+    return CountMatrix(dim, *grids, exact=exact)
 
 
 def test_source_params_validation():
@@ -87,20 +96,12 @@ def test_efficiency_table_validation():
     assert not partial.complete
 
 
-def test_count_record_validation():
-    CountRecord(0, 0, 0, 0, singles_a=10, singles_b=10, coincidences=5)
-    with pytest.raises(CountDataError):
-        CountRecord(0, 0, 0, 0, singles_a=10, singles_b=10, coincidences=11)
-    with pytest.raises(CountDataError):
-        CountRecord(0, 0, 0, 0, singles_a=-1, singles_b=10, coincidences=0)
-
-
 def test_exact_synthesis_roundtrip():
     params = SourceParams(pulses=1e8, alpha_sq=0.1, chi=0.5)
     table = reference_table()
-    records = synthesize_conjugate_records(params, table)
-    assert len(records) == 6
-    est = estimate_efficiency(records, 2)
+    counts = synthesize_conjugate_records(params, table)
+    assert counts.exact and np.count_nonzero(counts.singles_a) == 6
+    est = estimate_efficiency(counts, 2)
     assert np.allclose(est.eta_a, ETA_A, atol=1e-12)
     assert np.allclose(est.eta_b, ETA_B, atol=1e-12)
 
@@ -109,8 +110,9 @@ def test_poisson_synthesis_within_three_se():
     params = SourceParams(pulses=1e8, alpha_sq=0.1, chi=0.5)
     table = reference_table()
     rng = np.random.default_rng(20240817)
-    records = synthesize_conjugate_records(params, table, rng=rng)
-    est = estimate_efficiency(records, 2)
+    counts = synthesize_conjugate_records(params, table, rng=rng)
+    assert not counts.exact
+    est = estimate_efficiency(counts, 2)
     for basis in range(3):
         for elem in range(2):
             mu_c = expected_coincidences(
@@ -125,41 +127,39 @@ def test_poisson_synthesis_within_three_se():
             assert abs(est.eta_b[basis, elem] - ETA_B[basis, elem]) < 3 * se_b
 
 
-def test_estimator_pools_repeated_records():
-    base = CountRecord(0, 0, 0, 0, singles_a=1000, singles_b=500, coincidences=5)
-    est = estimate_efficiency([base, base], 2)
-    # Pooled: 2C/S_A = 2*10/2000, 2C/S_B = 2*10/1000.
+def test_estimator_reads_only_paired_cells():
+    # Off the identity pairing every cell would imply an efficiency of two.
+    cells = {(b, e, b, e): (10, 10, 0) for b, e in np.ndindex(3, 2)}
+    counts = counts_with({**cells, (0, 0, 0, 0): (1000, 500, 5)}, fill=1.0)
+    est = estimate_efficiency(counts, 2)
     assert est.eta_b[0, 0] == pytest.approx(0.01)
     assert est.eta_a[0, 0] == pytest.approx(0.02)
+    assert np.isnan(est.eta_a).sum() == np.isnan(est.eta_b).sum() == 5
 
 
-def test_estimator_rejects_non_conjugate_records():
-    rec = CountRecord(0, 0, 1, 0, singles_a=10, singles_b=10, coincidences=1)
-    with pytest.raises(CountDataError):
-        estimate_efficiency([rec], 2)
+def test_estimator_rejects_dimension_mismatch():
+    counts = counts_with({(0, 0, 0, 0): (1000, 500, 5)})
+    with pytest.raises(DimensionError):
+        estimate_efficiency(counts, 3)
 
 
 def test_estimator_rejects_unphysical_ratio():
-    rec = CountRecord(0, 0, 0, 0, singles_a=10, singles_b=10, coincidences=9)
+    counts = counts_with({(0, 0, 0, 0): (10, 10, 9)})
     with pytest.raises(CountDataError) as err:
-        estimate_efficiency([rec], 2)
+        estimate_efficiency(counts, 2)
     assert "above one" in str(err.value)
 
 
 def test_estimator_skips_cells_without_coincidences():
-    recs = [
-        CountRecord(0, 0, 0, 0, singles_a=1000, singles_b=500, coincidences=5),
-        CountRecord(0, 1, 0, 1, singles_a=1000, singles_b=500, coincidences=0),
-    ]
-    est = estimate_efficiency(recs, 2)
+    counts = counts_with({(0, 0, 0, 0): (1000, 500, 5), (0, 1, 0, 1): (1000, 500, 0)})
+    est = estimate_efficiency(counts, 2)
     assert np.isfinite(est.eta_a[0, 0])
     assert np.isnan(est.eta_a[0, 1])
 
 
 def test_estimator_requires_some_coincidences():
-    recs = [CountRecord(0, 0, 0, 0, singles_a=10, singles_b=10, coincidences=0)]
     with pytest.raises(CountDataError):
-        estimate_efficiency(recs, 2)
+        estimate_efficiency(counts_with({(0, 0, 0, 0): (10, 10, 0)}), 2)
 
 
 def test_uniformity_spreads_on_reference_values():
@@ -195,16 +195,15 @@ def test_identity_pairing():
 
 
 def test_estimator_rejects_negative_setting_indices():
-    for rec in (
-        CountRecord(-1, 0, -1, 0, singles_a=10, singles_b=10, coincidences=1),
-        CountRecord(0, -1, 0, -1, singles_a=10, singles_b=10, coincidences=1),
-    ):
+    counts = counts_with({(0, 0, 0, 0): (10, 10, 1)})
+    for pairing in (lambda s: (-1, s[1]), lambda s: (s[0], -1)):
         with pytest.raises(CountDataError, match="out of range"):
-            estimate_efficiency([rec], 2)
+            estimate_efficiency(counts, 2, pairing)
 
 
 # Per-setting and per-record reference loops; the array code must match
 # them bit for bit, since the arithmetic and the draw order are the same.
+# A record is ((setting_a, setting_b), singles_a, singles_b, coincidences).
 def loop_synthesize(params, table, pairing, rng):
     records = []
     for basis in range(table.dim + 1):
@@ -221,17 +220,16 @@ def loop_synthesize(params, table, pairing, rng):
                 sa = float(rng.poisson(mu_sa))
                 sb = float(rng.poisson(mu_sb))
                 cc = min(float(rng.poisson(mu_cc)), sa, sb)
-            records.append(CountRecord(basis, elem, pb, pe, sa, sb, cc))
+            records.append((((basis, elem), (pb, pe)), sa, sb, cc))
     return records
 
 
 def loop_estimate(records, dim):
     pooled = {}
-    for rec in records:
-        acc = pooled.setdefault(rec.setting_pair, [0.0, 0.0, 0.0])
-        acc[0] += rec.singles_a
-        acc[1] += rec.singles_b
-        acc[2] += rec.coincidences
+    for pair, *tally in records:
+        acc = pooled.setdefault(pair, [0.0, 0.0, 0.0])
+        for i, value in enumerate(tally):
+            acc[i] += value
     eta_a = np.full((dim + 1, dim), np.nan)
     eta_b = np.full((dim + 1, dim), np.nan)
     for ((ba, ea), (bb, eb)), (sa, sb, cc) in pooled.items():
@@ -241,9 +239,8 @@ def loop_estimate(records, dim):
     return eta_a, eta_b
 
 
-def without_coincidences(rec):
-    return CountRecord(*rec.setting_pair[0], *rec.setting_pair[1],
-                       rec.singles_a, rec.singles_b, 0.0)
+def records_counts(records, dim, exact, fill=0.0):
+    return counts_with({(*a, *b): tally for (a, b), *tally in records}, dim, fill, exact)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
@@ -262,16 +259,18 @@ def test_array_path_matches_loops_bitwise(dim, sampled, shifted):
     seed = 100 + dim
     rng_a = np.random.default_rng(seed) if sampled else None
     rng_b = np.random.default_rng(seed) if sampled else None
-    records = synthesize_conjugate_records(params, table, pairing, rng_a)
-    assert records == loop_synthesize(params, table, pairing or identity_pairing, rng_b)
-    # Repeated records pool; cells whose coincidences are all zero stay missing.
-    for batch in (
-        records,
-        records + records[::2],
-        [without_coincidences(r) if i % 3 == 0 else r for i, r in enumerate(records)],
-        records[::-1] + [without_coincidences(r) for r in records[1::2]],
-    ):
-        est = estimate_efficiency(batch, dim, pairing)
+    counts = synthesize_conjugate_records(params, table, pairing, rng_a)
+    records = loop_synthesize(params, table, pairing or identity_pairing, rng_b)
+    want = records_counts(records, dim, exact=not sampled)
+    assert counts.exact == want.exact
+    for name in ("singles_a", "singles_b", "coincidences"):
+        assert getattr(counts, name).tobytes() == getattr(want, name).tobytes()
+    # Cells whose coincidences are zero stay missing; cells off the pairing,
+    # here each implying an efficiency of two, are not read.
+    zeroed = [(pair, sa, sb, 0.0) if i % 3 == 0 else (pair, sa, sb, cc)
+              for i, (pair, sa, sb, cc) in enumerate(records)]  # fmt: skip
+    for batch, fill in ((records, 0.0), (zeroed, 0.0), (records, 1.0)):
+        est = estimate_efficiency(records_counts(batch, dim, not sampled, fill), dim, pairing)
         want_a, want_b = loop_estimate(batch, dim)
         assert est.eta_a.tobytes() == want_a.tobytes()
         assert est.eta_b.tobytes() == want_b.tobytes()

@@ -136,7 +136,7 @@ def test_pm_effective_overlaps_flip_channel():
 def test_pm_effective_overlaps_flip_matches_per_element_loop():
     d, p = 5, 0.3
     mubs = mub_set(d)
-    mats = [b.matrix for b in mubs.bases]
+    mats = [np.column_stack([k.amplitudes for k in b.vectors]) for b in mubs.bases]
     ov = np.empty((d + 1, d, d + 1, d))
     for i in range(d + 1):
         for j in range(d + 1):

@@ -10,7 +10,6 @@ from mubqkd.counts import CountMatrix
 from mubqkd.errors import CountDataError, DimensionError, NumericError
 from mubqkd.protocol import ProtocolConfig, expected_count_matrix
 from mubqkd.security import (
-    Distribution,
     analyze_counts,
     average_qber,
     empirical_qber,
@@ -66,50 +65,68 @@ Q_MAX_REFERENCE = {
 }
 
 
+def _dict_entropies(joint):
+    """H(A), H(B), H(A,B) with the marginals summed cell by cell into dicts."""
+    marginals = ({}, {})
+    for (a, b), p in np.ndenumerate(joint):
+        for acc, key in zip(marginals, (a, b)):
+            acc[key] = acc.get(key, 0.0) + float(p)
+
+    def entropy(values):
+        return -sum(p * math.log2(p) for p in values if p > 0)
+
+    return (*(entropy(m.values()) for m in marginals), entropy(np.ravel(joint)))
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        Distribution(("a", "b"), np.array([0.6, 0.6]))
+        shannon_entropy(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
-        Distribution(("a", "b"), np.array([1.2, -0.2]))
-    with pytest.raises(Exception):
-        Distribution(("a",), np.array([0.5, 0.5]))
-    d = Distribution(("a", "b"), np.array([0.25, 0.75]))
-    assert d.probs.sum() == pytest.approx(1.0)
+        shannon_entropy(np.array([1.2, -0.2]))
+    with pytest.raises(ValueError):
+        shannon_entropy(np.array([]))
+    with pytest.raises(ValueError):
+        mutual_information(np.full((2, 2, 2), 0.125))
 
 
 def test_shannon_entropy_known_values():
-    flat = Distribution((0, 1, 2, 3), np.full(4, 0.25))
-    assert shannon_entropy(flat) == pytest.approx(2.0)
-    point = Distribution((0, 1), np.array([1.0, 0.0]))
-    assert shannon_entropy(point) == 0.0
-    biased = Distribution((0, 1), np.array([0.25, 0.75]))
+    assert shannon_entropy(np.full(4, 0.25)) == pytest.approx(2.0)
+    assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
     want = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
-    assert shannon_entropy(biased) == pytest.approx(want, abs=1e-15)
+    assert shannon_entropy(np.array([0.25, 0.75])) == pytest.approx(want, abs=1e-15)
+    assert shannon_entropy(np.full((2, 2), 0.25)) == pytest.approx(2.0)
 
 
 def test_mutual_information_independent_and_perfect():
-    labels = tuple((a, b) for a in range(2) for b in range(2))
-    indep = Distribution(labels, np.full(4, 0.25))
-    assert mutual_information(indep) == pytest.approx(0.0, abs=1e-12)
-    perfect = Distribution(labels, np.array([0.5, 0.0, 0.0, 0.5]))
-    assert mutual_information(perfect) == pytest.approx(1.0)
-    labels = tuple((a, b) for a in range(4) for b in range(4))
-    perfect = Distribution(labels, np.array([0.25 if a == b else 0.0 for a, b in labels]))
-    assert mutual_information(perfect) == pytest.approx(2.0)
+    assert mutual_information(np.full((2, 2), 0.25)) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_information(np.eye(2) / 2) == pytest.approx(1.0)
+    assert mutual_information(np.eye(4) / 4) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        mutual_information(Distribution((0, 1), np.array([0.5, 0.5])))
+        mutual_information(np.array([0.5, 0.5]))
 
 
 def test_isotropic_joint_distribution_structure():
     d, q = 3, 0.06
     joint = isotropic_joint_distribution(d, q)
-    probs = dict(zip(joint.labels, joint.probs))
+    assert joint.shape == (d, d)
     for a in range(d):
         for b in range(d):
             want = (1 - q) / d if a == b else q / (d * (d - 1))
-            assert probs[(a, b)] == pytest.approx(want, abs=1e-15)
+            assert joint[a, b] == pytest.approx(want, abs=1e-15)
     with pytest.raises(ValueError):
         isotropic_joint_distribution(2, 0.6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 10])
+def test_entropies_match_dict_marginal_loop(d):
+    rng = np.random.default_rng(d)
+    for joint in (isotropic_joint_distribution(d, 0.3 * (d - 1) / d),
+                  rng.dirichlet(np.ones(d * d)).reshape(d, d)):  # fmt: skip
+        h_a, h_b, h_ab = _dict_entropies(joint)
+        assert shannon_entropy(joint.sum(axis=1)) == pytest.approx(h_a, abs=1e-12)
+        assert shannon_entropy(joint.sum(axis=0)) == pytest.approx(h_b, abs=1e-12)
+        assert shannon_entropy(joint) == pytest.approx(h_ab, abs=1e-12)
+        assert mutual_information(joint) == pytest.approx(h_a + h_b - h_ab, abs=1e-12)
 
 
 @pytest.mark.parametrize("d_q", sorted(MUTUAL_INFO_REFERENCE))
@@ -268,9 +285,9 @@ def test_noiseless_exact_counts_analyze_at_zero_error(d):
 def test_joint_distribution_from_counts_pools_bases():
     counts = _counts_from_blocks(2, diag=950.0, off=50.0)
     joint = joint_distribution_from_counts(counts)
-    probs = dict(zip(joint.labels, joint.probs))
-    assert probs[(0, 0)] == pytest.approx(950 * 3 / 6000)
-    assert probs[(0, 1)] == pytest.approx(50 * 3 / 6000)
+    assert joint.shape == (2, 2)
+    assert joint[0, 0] == pytest.approx(950 * 3 / 6000)
+    assert joint[0, 1] == pytest.approx(50 * 3 / 6000)
 
 
 def test_analyze_counts_end_to_end():
