@@ -156,7 +156,11 @@ def _parse_bias(text: str, d: int) -> tuple[float, ...]:
         values = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"bad bias {text!r}") from None
-    return values if "," in text else default_basis_bias(d, values[0])
+    if "," in text:
+        return values
+    if not 0.0 < values[0] < 1.0:  # also rejects NaN
+        raise ConfigError(f"bad bias {text!r}: a lone value must lie in (0, 1)")
+    return default_basis_bias(d, values[0])
 
 
 def _cmd_gen_bases(args: argparse.Namespace) -> int:

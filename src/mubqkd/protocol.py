@@ -6,7 +6,9 @@ rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed by
 (_run_chunked).  One round kernel serves both modes and draws only what a
 round reads (see _RoundKernel):
 
-* EB: one creation uniform per round for the whole chunk, then five
+* EB: the created rounds are the ends of geometric gaps, one uniform per
+  gap by inversion, drawn in batches of a size fixed by the pair
+  probability until they pass the end of the whole chunk; then five
   uniforms (route, setting_a, setting_b, click_a, click_b) for each round
   that created a pair, in round order.
 * PM: three uniforms per round (setting_a, setting_b, click_b).
@@ -205,9 +207,10 @@ class _RoundKernel:
     """Lookup tables and the per-chunk round kernel shared by both modes.
 
     Only the draw and the click step depend on the mode; the draw layout
-    is described in the module docstring.  The EB draw always fills the
-    whole chunk's creation uniforms, so a round's variates do not depend
-    on where the session ends.
+    is described in the module docstring.  The EB gaps always cover the
+    whole chunk, in batches whose size depends only on the pair
+    probability, so a round's variates do not depend on where the session
+    ends.
     """
 
     def __init__(self, cfg: ProtocolConfig, mubs: MubSet):
@@ -225,20 +228,29 @@ class _RoundKernel:
             self.width, self.draw, self.clicks = 3, self._draw_pm, self._pm_clicks
             self.thr_b = self.thr_b[0, 1]
             return
-        self.width, self.draw, self.clicks = 1, self._draw_eb, self._eb_clicks
+        self.width, self.draw, self.clicks = 0, self._draw_eb, self._eb_clicks
         self.pair_prob = weights.sum()
+        self.log_miss = np.log1p(-self.pair_prob)
+        mean = CHUNK_ROUNDS * self.pair_prob
+        self.batch = int(mean + 6.0 * np.sqrt(mean)) + 16  # one batch almost always covers a chunk
         self.route_table = np.cumsum(weights[:-1] / self.pair_prob)
         self.thr_a = p_a  # A's threshold per (arm, cell)
 
     def buffer(self) -> np.ndarray:
-        """Scratch for one chunk's bulk draw; each thread needs its own."""
+        """Scratch for one chunk's PM draw (empty in EB); each thread needs its own."""
         return np.empty(CHUNK_ROUNDS * self.width)
 
     def _draw_eb(self, chunk: int, n: int, buf: np.ndarray):
         """Created rounds of the chunk's first n and their (k, 5) variates."""
         rng = _chunk_rng(self.seed, chunk)
-        rng.random(out=buf)
-        rows = np.flatnonzero(buf[:n] < self.pair_prob)
+        parts, last = [], -1.0  # a first gap of g creates a pair in round g - 1
+        while last < CHUNK_ROUNDS:
+            # P(gap = g) = (1 - p)^(g - 1) p for g >= 1, by inversion.
+            gaps = np.floor(np.log1p(-rng.random(self.batch)) / self.log_miss) + 1.0
+            parts.append(np.cumsum(gaps) + last)
+            last = parts[-1][-1]
+        created = np.concatenate(parts)
+        rows = created[: np.searchsorted(created, n)].astype(np.intp)
         return rows, rng.random((len(rows), 5))
 
     def _draw_pm(self, chunk: int, n: int, buf: np.ndarray):

@@ -648,6 +648,23 @@ def test_malformed_bias_names_the_option(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("text", ["1.5", "0", "-0.2"])
+def test_lone_bias_out_of_range_names_the_option(tmp_path, capsys, source, text):
+    out = tmp_path / "z.csv"
+    argv = ["simulate", *_FINITE_ARGS["simulate"], "--out", str(out)]
+    if source == "flag":
+        argv.append(f"--bias={text}")
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"bias = {text}\n")
+        argv += ["--config", str(conf)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad bias {text!r}: a lone value must lie in (0, 1)\n"
+    assert not out.exists()
+
+
 @st.composite
 def _malformed_counts(draw, command):
     """A d = 2 counts file with one defect that every load must reject."""

@@ -389,6 +389,59 @@ def test_partial_chunk_boundary():
     assert np.array_equal(small.log, big.log[:100])
 
 
+def _gap_kernel(pair_prob, seed=31):
+    source = SourceParams(pulses=0, alpha_sq=2 * pair_prob, chi=0.5)
+    return _RoundKernel(eb_config(seed=seed, source=source), mub_set(2))
+
+
+@pytest.mark.parametrize("batch", [None, 1])  # 1: the gaps are topped up one by one
+@pytest.mark.parametrize("pair_prob", [1e-6, 0.05, 0.0999])
+def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, batch):
+    kernel = _gap_kernel(pair_prob)
+    kernel.batch = batch or kernel.batch
+    buf = kernel.buffer()
+    assert buf.size == 0  # EB needs no draw buffer
+    empty_chunks = 0
+    for chunk in range(20 if batch is None else 2):
+        full_rows, full_v = kernel.draw(chunk, CHUNK_ROUNDS, buf)
+        assert full_v.shape == (len(full_rows), 5)
+        assert np.all(np.diff(full_rows) > 0)
+        assert len(full_rows) == 0 or 0 <= full_rows[0] <= full_rows[-1] < CHUNK_ROUNDS
+        empty_chunks += len(full_rows) == 0
+        for n in (1, 1000, CHUNK_ROUNDS - 1):
+            rows, v = kernel.draw(chunk, n, buf)
+            k = np.searchsorted(full_rows, n)
+            assert np.array_equal(rows, full_rows[:k])
+            assert np.array_equal(v, full_v[:k]) and v.shape == (k, 5)
+    if pair_prob < 1e-3:
+        assert empty_chunks > 0
+
+
+@pytest.mark.parametrize("pair_prob", [1e-6, 0.05, 0.0999])
+def test_eb_gap_top_up_matches_default_batch(pair_prob):
+    kernel = _gap_kernel(pair_prob)
+    buf = kernel.buffer()
+    default = [kernel.draw(c, CHUNK_ROUNDS, buf)[0] for c in range(2)]
+    kernel.batch = 1  # every gap past the first is a top-up
+    for c, rows in enumerate(default):
+        assert np.array_equal(kernel.draw(c, CHUNK_ROUNDS, buf)[0], rows)
+
+
+def test_eb_created_rounds_are_binomial_and_evenly_spread():
+    p, n_chunks, bins = 0.05, 200, 16
+    kernel = _gap_kernel(p, seed=77)
+    buf = kernel.buffer()
+    per_bin = np.zeros(bins, dtype=np.int64)
+    for c in range(n_chunks):
+        rows, _ = kernel.draw(c, CHUNK_ROUNDS, buf)
+        per_bin += np.bincount(rows // (CHUNK_ROUNDS // bins), minlength=bins)
+    total = per_bin.sum()
+    mean = n_chunks * CHUNK_ROUNDS * p
+    assert abs(total - mean) < 5 * np.sqrt(mean * (1 - p))
+    chi2 = ((per_bin - total / bins) ** 2 / (total / bins)).sum()
+    assert chi2 < 50  # 15 degrees of freedom: exceeded with probability 1.2e-5
+
+
 def test_one_arm_routing_never_produces_coincidences():
     # White-box kernel check: force one-arm routing on created pairs, then
     # hand the click variates certain hits; the other arm must stay silent.
