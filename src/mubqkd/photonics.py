@@ -43,6 +43,8 @@ class SourceParams:
             raise ConfigError(f"pulse count must be nonnegative, got {self.pulses}")
         if not (self.alpha_sq > 0 and self.chi > 0):  # also rejects NaN
             raise ConfigError("alpha_sq and chi must be positive")
+        if self.alpha_sq * self.chi == 0.0:
+            raise ConfigError(f"alpha_sq * chi = {self.alpha_sq:g} * {self.chi:g} underflows to 0")
         if self.alpha_sq * self.chi >= PERTURBATIVE_CEILING:
             raise ConfigError(
                 f"alpha_sq * chi = {self.alpha_sq * self.chi:.4f} leaves the "

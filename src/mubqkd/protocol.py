@@ -3,20 +3,15 @@
 Each pump pulse is one protocol round.  Randomness is counter-based: the
 rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed by
 (seed, c), so chunks run on any worker and are handed on in chunk order
-(_run_chunked).  One round kernel serves both modes and draws only what a
-round reads (see _RoundKernel):
-
-* EB: the created rounds are the ends of geometric gaps, one uniform per
-  gap by inversion, drawn in batches of a size fixed by the pair
-  probability until they pass the end of the whole chunk; then five
-  uniforms (route, setting_a, setting_b, click_a, click_b) for each round
-  that created a pair, in round order.
-* PM: three uniforms per round (setting_a, setting_b, click_b).
-
-A setting is one categorical draw over the (d + 1) * d (basis, element)
-pairs.  The settings of EB rounds without a pair are drawn only for the
-full log, from a separate sub-stream of the chunk, so the counts are the
-same with and without it.
+(_run_chunked).  One round kernel serves both modes (see _RoundKernel):
+each candidate round takes one 64-bit word, which an alias table turns
+into its arm, setting pair and click pattern.  Every PM round is a
+candidate.  In EB the candidates are the rounds that create a pair, the
+ends of geometric gaps drawn first: one uniform per gap by inversion, in
+batches of a size fixed by the pair probability, until they pass the end
+of the whole chunk.  The settings of EB rounds without a pair are drawn
+only for the full log, one word each from a separate sub-stream of the
+chunk, so the counts are the same with and without it.
 
 Entanglement-based rounds: a photon pair appears with probability
 alpha_sq * chi and splits AB/AA/BB with probabilities (1/2, 1/4, 1/4).
@@ -174,154 +169,169 @@ class ParameterEstimate:
     remaining: SiftedData
 
 
-def _setting_table(bias, d: int) -> np.ndarray:
-    """Cumulative weights of the n_b * d settings, flat index basis * d + elem.
-
-    Dividing by the last entry makes it exactly 1.0, so a uniform in [0, 1)
-    never falls past the table, nor onto a trailing zero-weight setting.
-    """
-    cum = np.cumsum(np.repeat(np.asarray(bias, dtype=np.float64) / d, d))
-    return cum / cum[-1]
-
-
-def _draw_setting(table: np.ndarray, u):
-    """Flat setting index for each uniform: one categorical draw per setting.
-
-    Equals np.searchsorted(table, u, side="right").  Counting the
-    thresholds at or below u is several times faster for tables this small.
-    """
-    u = np.asarray(u, order="C")  # one strided read, not one per threshold
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(table)))
-    for edge in table[:-1]:
-        idx += u >= edge
-    return idx
-
-
 def _chunk_rng(seed: int, chunk: int, stream: int = 0) -> np.random.Generator:
     """Philox stream of one chunk; stream 1 is a disjoint sub-stream (top counter word)."""
     key = np.array([seed, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, stream]))
 
 
+class _Alias:
+    """Walker's alias table over the categories of positive weight.
+
+    Draws return positions; ``index`` maps them to flat categories.  The
+    weights are rounded to integers that sum to exactly 2**62 and padded to
+    2**b slots of ``unit`` = 2**(62 - b).  Vose's sweep lets slot i keep
+    ``thr[i]`` units for position i and lend the rest to ``alias[i]``.  A
+    64-bit word picks the slot with its top b bits and compares its low
+    64 - b bits with the threshold, so each position is drawn with exactly
+    its rounded weight, and a category of zero weight never.
+    """
+
+    def __init__(self, weights):
+        w = np.ravel(weights)
+        self.index = np.flatnonzero(w > 0)
+        q = np.rint(w[self.index] / w[self.index].sum() * 2.0**62).astype(np.int64)
+        q[np.argmax(q)] += 2**62 - q.sum()
+        b = max(1, (len(q) - 1).bit_length())
+        self.unit = unit = 1 << (62 - b)
+        q = np.concatenate([q, np.zeros((1 << b) - len(q), dtype=np.int64)])
+        # Vose's sweep without a loop: large k takes the small deficits in
+        # order until it holds less than a slot, then lends its own deficit
+        # to large k + 1.  With S_k = sum_{t <= k} q_t - k * unit, large k
+        # stops at the first small whose cumulative deficit passes S_k - unit
+        # and keeps S_k minus the deficits taken so far.
+        small, large = np.flatnonzero(q < unit), np.flatnonzero(q >= unit)
+        owed = np.cumsum(np.append(unit - q[small], 0))  # last entry: all deficits
+        held = np.cumsum(q[large]) - unit * np.arange(len(large))
+        stop = np.searchsorted(owed, held - unit, side="right")
+        slots = np.arange(len(q))
+        self.thr, self.alias = q, slots.copy()
+        self.alias[small] = large[np.searchsorted(stop, np.arange(len(small)))]
+        rest = held - owed[np.minimum(stop, len(small))]
+        q[large] = rest
+        short = rest[:-1] < unit  # the last large always ends full
+        self.alias[large[:-1][short]] = large[1:][short]
+        self.shift = np.uint64(64 - b)
+        # word < cut[slot] exactly when its low bits fall under the threshold;
+        # a full slot's alias is itself, so its cut may stop one short.
+        low = np.minimum(q.astype(np.uint64) << np.uint64(2), (np.uint64(1) << self.shift) - 1)
+        self.cut = (slots.astype(np.uint64) << self.shift) + low
+        self.pick = np.stack([self.alias, slots], axis=1).ravel()  # [2 slot + below cut]
+
+    def draw(self, words: np.ndarray) -> np.ndarray:
+        """One position per 64-bit word."""
+        slot = (words >> self.shift).view(np.int64)
+        pick = slot << 1
+        pick += words < self.cut[slot]
+        return self.pick[pick]
+
+
 class _RoundKernel:
     """Lookup tables and the per-chunk round kernel shared by both modes.
 
-    Only the draw and the click step depend on the mode; the draw layout
-    is described in the module docstring.  The EB gaps always cover the
-    whole chunk, in batches whose size depends only on the pair
-    probability, so a round's variates do not depend on where the session
-    ends.
+    A candidate round is one draw from ``cats``, an alias table over (arm,
+    cell, click pattern); pattern bit 0 is A's click and bit 1 B's.  Only
+    categories of positive weight exist, so an arm that sends no photon to
+    a side never clicks there.  The EB gaps always cover the whole chunk,
+    so a round's draws do not depend on where the session ends.
     """
 
     def __init__(self, cfg: ProtocolConfig, mubs: MubSet):
         d, n_s = cfg.dim, (cfg.dim + 1) * cfg.dim
-        self.seed, self.d, self.n_s = cfg.seed, d, n_s
-        self.table = _setting_table(cfg.basis_bias, d)
+        self.seed = cfg.seed
         weights, (p_a, p_b, p_ab) = _click_table(cfg, mubs)
-        # B's threshold per (arm, click_a, cell): P(B | not A), then P(B | A).
-        # P(A) is 0 on BB and can be 1 on AA; the entry no round reads is 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            not_a = np.where(p_a < 1.0, (p_b - p_ab) / (1.0 - p_a), 0.0)
-            self.thr_b = np.stack([not_a, np.where(p_a > 0.0, p_ab / p_a, 0.0)], axis=1)
-        if cfg.mode == "pm":
-            # Alice always sends, so B's threshold is one flat lookup per cell.
-            self.width, self.draw, self.clicks = 3, self._draw_pm, self._pm_clicks
-            self.thr_b = self.thr_b[0, 1]
-            return
-        self.width, self.draw, self.clicks = 0, self._draw_eb, self._eb_clicks
-        self.pair_prob = weights.sum()
-        self.log_miss = np.log1p(-self.pair_prob)
-        mean = CHUNK_ROUNDS * self.pair_prob
-        self.batch = int(mean + 6.0 * np.sqrt(mean)) + 16  # one batch almost always covers a chunk
-        self.route_table = np.cumsum(weights[:-1] / self.pair_prob)
-        self.thr_a = p_a  # A's threshold per (arm, cell)
+        p_setting = np.repeat(np.asarray(cfg.basis_bias) / d, d)
+        p_cell = np.outer(p_setting, p_setting).ravel()
+        pattern = np.stack([1.0 - p_a - p_b + p_ab, p_a - p_ab, p_b - p_ab, p_ab], axis=-1)
+        # Routing probabilities, not per-round weights: a tiny pair
+        # probability must not underflow the table.
+        pair = weights.sum()  # 1 in PM
+        routing = weights / pair
+        self.shape = pattern.shape  # (arm, cell, pattern)
+        self.cats = _Alias(routing[:, None, None] * p_cell[:, None] * pattern)
+        self.arm, cell, pat = np.unravel_index(self.cats.index, self.shape)
+        self.coinc = pat == 3
+        self.log_miss = None  # every PM round is a candidate
+        if cfg.mode == "eb":
+            self.log_miss = np.log1p(-pair)
+            mean = CHUNK_ROUNDS * pair
+            # One batch of gaps almost always covers a chunk.
+            self.batch = int(mean + 6.0 * np.sqrt(mean)) + 16
+            # Full-log rounds without a pair: settings only, no clicks.  Their
+            # rows follow the categories' rows.
+            self.idle = _Alias(p_cell)
+            cell = np.concatenate([cell, self.idle.index])
+            pat = np.concatenate([pat, np.zeros_like(self.idle.index)])
+        # The log row of each position, round 0.
+        self.rows = np.zeros(len(cell), dtype=LOG_DTYPE)
+        self.rows["basis_a"], self.rows["elem_a"] = np.divmod(cell // n_s, d)
+        self.rows["basis_b"], self.rows["elem_b"] = np.divmod(cell % n_s, d)
+        self.rows["click_a"], self.rows["click_b"] = pat & 1, pat >> 1
+        self.rows["coincidence"] = pat == 3
 
     def buffer(self) -> np.ndarray:
-        """Scratch for one chunk's PM draw (empty in EB); each thread needs its own."""
-        return np.empty(CHUNK_ROUNDS * self.width)
+        """Scratch for draw; the word draw needs none, so it is empty."""
+        return np.empty(0)
 
-    def _draw_eb(self, chunk: int, n: int, buf: np.ndarray):
-        """Created rounds of the chunk's first n and their (k, 5) variates."""
-        rng = _chunk_rng(self.seed, chunk)
+    def _created(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The chunk's first n rounds that create a pair, in order."""
         parts, last = [], -1.0  # a first gap of g creates a pair in round g - 1
-        while last < CHUNK_ROUNDS:
-            # P(gap = g) = (1 - p)^(g - 1) p for g >= 1, by inversion.
-            gaps = np.floor(np.log1p(-rng.random(self.batch)) / self.log_miss) + 1.0
-            parts.append(np.cumsum(gaps) + last)
-            last = parts[-1][-1]
+        # An infinite gap (a subnormal pair probability) means no further pair in this chunk.
+        with np.errstate(over="ignore", divide="ignore"):
+            while last < CHUNK_ROUNDS:
+                # P(gap = g) = (1 - p)^(g - 1) p for g >= 1, by inversion.
+                gaps = np.floor(np.log1p(-rng.random(self.batch)) / self.log_miss) + 1.0
+                parts.append(np.cumsum(gaps) + last)
+                last = parts[-1][-1]
         created = np.concatenate(parts)
-        rows = created[: np.searchsorted(created, n)].astype(np.intp)
-        return rows, rng.random((len(rows), 5))
+        return created[: np.searchsorted(created, n)].astype(np.intp)
 
-    def _draw_pm(self, chunk: int, n: int, buf: np.ndarray):
-        v = buf[: 3 * n].reshape(n, 3)
-        _chunk_rng(self.seed, chunk).random(out=v)
-        return np.arange(n), v
+    def draw(self, chunk: int, n: int, buf: np.ndarray | None = None):
+        """Candidate rounds of the chunk's first n and the category position of each."""
+        rng = _chunk_rng(self.seed, chunk)
+        rows = np.arange(n) if self.log_miss is None else self._created(rng, n)
+        return rows, self.cats.draw(rng.bit_generator.random_raw(len(rows)))
 
     def route(self, v: np.ndarray) -> np.ndarray:
-        """Arm of each created pair: 0 AB, 1 AA, 2 BB (pair_routing_probs order)."""
-        return np.searchsorted(self.route_table, v[:, 0], side="right")
+        """Arm of each drawn category: 0 AB, 1 AA, 2 BB (pair_routing_probs order).
 
-    def _eb_clicks(self, v: np.ndarray):
-        arm = self.route(v)
-        s_a = _draw_setting(self.table, v[:, 1])
-        s_b = _draw_setting(self.table, v[:, 2])
-        cell = self.cell(s_a, s_b)
-        click_a = v[:, 3] < self.thr_a[arm, cell]
-        click_b = v[:, 4] < self.thr_b[arm, click_a.view(np.uint8), cell]
-        return s_a, s_b, click_a, click_b
+        PM has one arm, 0.
+        """
+        return self.arm[v]
 
-    def _pm_clicks(self, v: np.ndarray):
-        s_a = _draw_setting(self.table, v[:, 0])
-        s_b = _draw_setting(self.table, v[:, 1])
-        click_b = v[:, 2] < self.thr_b[self.cell(s_a, s_b)]
-        return s_a, s_b, np.ones(len(v), dtype=bool), click_b
+    def fold(self, tally: np.ndarray) -> np.ndarray:
+        """(singles_a, singles_b, coincidences) over the flat cells from per-category counts."""
+        per = np.zeros(np.prod(self.shape), dtype=np.int64)
+        per[self.cats.index] = tally
+        per = per.reshape(self.shape).sum(axis=0)
+        return np.stack([per[:, 1] + per[:, 3], per[:, 2] + per[:, 3], per[:, 3]])
 
-    def cell(self, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-        return s_a.astype(np.intp) * self.n_s + s_b
-
-    def run(self, chunk: int, n: int, keep_full: bool, buf: np.ndarray, dest: np.ndarray):
+    def run(self, chunk: int, n: int, keep_full: bool, dest: np.ndarray):
         """Tally one chunk and write its logged rounds to the front of dest.
 
-        dest is a LOG_DTYPE block of at least n rows.  Returns (singles_a,
-        singles_b, coincidences) over the flat cells and the rows written.
+        dest is a LOG_DTYPE block of at least n rows.  Returns the count of
+        each category (see fold) and the rows written.
         """
-        rows, v = self.draw(chunk, n, buf)
-        s_a, s_b, click_a, click_b = self.clicks(v)
-        # One pass over (cell, click pattern); pattern 3 is a coincidence.
-        pattern = click_a + 2 * click_b.view(np.uint8)
-        per = np.bincount(self.cell(s_a, s_b) * 4 + pattern, minlength=4 * self.n_s**2)
-        per = per.reshape(-1, 4)
-        tallies = (per[:, 1] + per[:, 3], per[:, 2] + per[:, 3], per[:, 3])
-
+        rows, cat = self.draw(chunk, n)
+        n_cats = len(self.cats.index)
+        tally = np.bincount(cat, minlength=n_cats)
         if not keep_full:
             # Gathering by index is several times faster than boolean masking here.
-            hit = np.flatnonzero(click_a & click_b)
-            rows, s_a, s_b = rows[hit], s_a[hit], s_b[hit]
-            click_a = click_b = True  # every kept round is a coincidence
+            hit = np.flatnonzero(self.coinc[cat])
+            rows, cat = rows[hit], cat[hit]
         elif len(rows) < n:
-            # EB rounds without a pair: settings from sub-stream 1, no clicks.
+            # EB rounds without a pair: one word each from sub-stream 1 picks the settings.
             idle = np.ones(n, dtype=bool)
             idle[rows] = False
-            u = _chunk_rng(self.seed, chunk, stream=1).random((n - len(rows), 2))
-
-            def spread(got, rest):
-                x = np.empty(n, dtype=got.dtype)
-                x[idle] = rest
-                x[rows] = got
-                return x
-
-            s_a = spread(s_a, _draw_setting(self.table, u[:, 0]))
-            s_b = spread(s_b, _draw_setting(self.table, u[:, 1]))
-            click_a, click_b = spread(click_a, False), spread(click_b, False)
-            rows = np.arange(n)
+            words = _chunk_rng(self.seed, chunk, stream=1).bit_generator.random_raw(n - len(rows))
+            every = np.empty(n, dtype=cat.dtype)
+            every[idle] = self.idle.draw(words) + n_cats
+            every[rows] = cat
+            rows, cat = np.arange(n), every
         block = dest[: len(rows)]
+        np.take(self.rows, cat, out=block, mode="clip")
         np.add(rows, chunk * CHUNK_ROUNDS, out=block["round"])
-        block["basis_a"], block["elem_a"] = np.divmod(s_a, self.d)
-        block["basis_b"], block["elem_b"] = np.divmod(s_b, self.d)
-        block["click_a"], block["click_b"] = click_a, click_b
-        block["coincidence"] = click_a & click_b
-        return tallies, len(rows)
+        return tally, len(rows)
 
 
 def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:
@@ -381,18 +391,18 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
     kernel = _RoundKernel(cfg, mubs)
     n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
     workers = min(workers, n_chunks)
-    # Scratch for each chunk in flight: a draw buffer and a block of rows.  It
-    # goes back to the pool once take_rows has seen the rows, so no rows are
-    # copied out, and there is one per window slot, so no chunk waits for one.
+    # A block of rows for each chunk in flight.  It goes back to the pool
+    # once take_rows has seen the rows, so no rows are copied out, and there
+    # is one per window slot, so no chunk waits for one.
     pool = queue.LifoQueue()
     for _ in range(2 * workers):
-        pool.put((kernel.buffer(), np.empty(CHUNK_ROUNDS, dtype=LOG_DTYPE)))
+        pool.put(np.empty(CHUNK_ROUNDS, dtype=LOG_DTYPE))
 
     def run(c: int):
-        scratch = pool.get()
+        block = pool.get()
         n = min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS)
-        tallies, k = kernel.run(c, n, keep_full_log, *scratch)
-        return tallies, scratch, k
+        tally, k = kernel.run(c, n, keep_full_log, block)
+        return tally, block, k
 
     def threaded():
         # A sliding window, not one map per batch: no batch waits on its slowest chunk.
@@ -403,14 +413,14 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
                 yield window.popleft().result()
                 window.extend(islice(futures, 1))
 
-    totals = np.zeros((3, kernel.n_s**2), dtype=np.int64)
-    for tallies, scratch, k in map(run, range(n_chunks)) if workers == 1 else threaded():
-        totals += tallies
-        take_rows(scratch[1][:k])
-        pool.put(scratch)
+    totals = np.zeros(len(kernel.cats.index), dtype=np.int64)
+    for tally, block, k in map(run, range(n_chunks)) if workers == 1 else threaded():
+        totals += tally
+        take_rows(block[:k])
+        pool.put(block)
 
     return _from_flat(
-        cfg.dim, totals, metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
+        cfg.dim, kernel.fold(totals), metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
     )
 
 

@@ -571,9 +571,10 @@ def test_simulate_exact_needs_no_seed(tmp_path):
 
 def test_library_warnings_print_as_one_line(tmp_path, capsys):
     counts = tmp_path / "e.csv"
+    # Bases 2 and 3 are never chosen, so they have no same-basis coincidences at any seed.
     assert run_cli(
         "simulate", "--mode", "eb", "--dim", "3", "--rounds", "250000", "--seed", "1",
-        "--out", str(counts),
+        "--bias", "0.5,0.5,0,0", "--out", str(counts),
     ) == 0
     capsys.readouterr()
     assert run_cli("analyze", "--counts", str(counts)) == 0
@@ -662,6 +663,30 @@ def test_lone_bias_out_of_range_names_the_option(tmp_path, capsys, source, text)
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: bad bias {text!r}: a lone value must lie in (0, 1)\n"
+    assert not out.exists()
+
+
+def _simulate_pair_prob(tmp_path, alpha_sq, chi):
+    out = tmp_path / "u.csv"
+    code = run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "100000", "--seed", "1",
+        "--alpha-sq", alpha_sq, "--chi", chi, "--out", str(out),
+    )
+    return code, out
+
+
+def test_subnormal_pair_probability_creates_no_pairs_quietly(tmp_path, capsys):
+    # 1e-310 is subnormal: every gap is infinite, which must raise no warning.
+    code, out = _simulate_pair_prob(tmp_path, "1e-160", "1e-150")
+    assert code == 0
+    assert "warning:" not in capsys.readouterr().err
+    assert not load_counts(out).coincidences.any()
+
+
+def test_underflowing_pair_probability_is_rejected(tmp_path, capsys):
+    code, out = _simulate_pair_prob(tmp_path, "1e-200", "1e-200")
+    assert code == 1
+    assert capsys.readouterr().err == "error: alpha_sq * chi = 1e-200 * 1e-200 underflows to 0\n"
     assert not out.exists()
 
 

@@ -15,9 +15,9 @@ from mubqkd.protocol import (
     LOG_DTYPE,
     ProtocolConfig,
     SessionRecord,
+    _Alias,
     _RoundKernel,
-    _draw_setting,
-    _setting_table,
+    _click_table,
     default_basis_bias,
     estimate_parameters,
     expected_count_matrix,
@@ -88,26 +88,121 @@ def test_config_rejects_incomplete_efficiencies():
         eb_config(efficiencies=table)
 
 
+def _setting_draws(bias, d, n, seed):
+    """Flat setting indices drawn through an alias table over the settings."""
+    table = _Alias(np.repeat(np.asarray(bias) / d, d))
+    return table.index[table.draw(np.random.Philox(seed).random_raw(n))]
+
+
 def test_sample_setting_respects_bias():
-    u = np.random.default_rng(1).random(4000)
-    bases, elems = np.divmod(_draw_setting(_setting_table((0.8, 0.1, 0.1), 2), u), 2)
+    bases, elems = np.divmod(_setting_draws((0.8, 0.1, 0.1), 2, 4000, seed=1), 2)
     assert abs(np.mean(bases == 0) - 0.8) < 0.03
     assert abs(np.mean(elems) - 0.5) < 0.03
     with pytest.raises(ConfigError):
         eb_config(basis_bias=(1.0,))
 
 
-def test_setting_draw_matches_searchsorted():
+def test_alias_draw_follows_thresholds_and_skips_zero_weights():
     # Basis 1 has zero weight: its settings 3..5 must never be drawn.
-    table = _setting_table((0.5, 0.0, 0.3, 0.2), 3)
-    u = np.concatenate(
-        [np.random.default_rng(2).random(20_000), table[:-1], [0.0, np.nextafter(1.0, 0.0)]]
-    )
-    got = _draw_setting(table, u)
-    assert np.array_equal(got, np.searchsorted(table, u, side="right"))
+    got = _setting_draws((0.5, 0.0, 0.3, 0.2), 3, 20_000, seed=2)
     assert got.max() == 11 and not np.isin(got, [3, 4, 5]).any()
-    stride = np.stack([u, u], axis=1)[:, 1]  # a column of a round-major block
-    assert np.array_equal(_draw_setting(table, stride), got)
+    # At each slot's edge: the word just under the threshold gives the slot's
+    # own position, the word at it gives the alias.
+    table = _Alias(np.repeat(np.array([0.5, 0.0, 0.3, 0.2]) / 3, 3))
+    slots = np.arange(len(table.thr))
+    base = slots.astype(np.uint64) << np.uint64(table.shift)
+    low = table.thr.astype(np.uint64) << np.uint64(2)  # thresholds in low-bit units
+    part = (table.thr > 0) & (table.thr < table.unit)
+    assert part.any() and (table.thr[len(table.index):] == 0).all()
+    assert np.array_equal(table.draw(base[part] + low[part] - np.uint64(1)), slots[part])
+    assert np.array_equal(table.draw(base[part] + low[part]), table.alias[part])
+    full = table.thr == table.unit
+    top = np.uint64((1 << table.shift) - 1)
+    assert np.array_equal(table.draw(base[full] + top), slots[full])
+    empty = table.thr == 0
+    assert np.array_equal(table.draw(base[empty]), table.alias[empty])
+
+
+def _vose_loop(q, unit):
+    """Vose's sweep one small at a time: the oracle for _Alias's cumsum form."""
+    q = [int(x) for x in q]
+    thr, alias = q[:], list(range(len(q)))
+    smalls = [i for i in range(len(q)) if q[i] < unit]
+    larges = [i for i in range(len(q)) if q[i] >= unit]
+    si = li = 0
+    pending = None  # a large that fell below one slot, lent to by the next large
+    while li < len(larges):
+        lender = larges[li]
+        if pending is not None:
+            s, pending = pending, None
+        elif si < len(smalls):
+            s, si = smalls[si], si + 1
+        else:
+            break
+        thr[s], alias[s] = q[s], lender
+        q[lender] -= unit - q[s]
+        if q[lender] < unit:
+            pending, li = lender, li + 1
+    if pending is None:
+        thr[lender] = q[lender]
+    return thr, alias
+
+
+@pytest.mark.parametrize("kind", ["uniform", "heavy", "equal", "sparse", "single"])
+def test_alias_sweep_matches_one_at_a_time_loop(kind):
+    rng = np.random.default_rng(len(kind))
+    for n in (1, 2, 3, 5, 64, 100, 777):
+        w = {
+            "uniform": rng.random(n),
+            "heavy": rng.exponential(size=n) ** 6,
+            "equal": np.ones(n),
+            "sparse": np.where(rng.random(n) < 0.7, 0.0, rng.random(n)),
+            "single": np.eye(n)[n // 2],
+        }[kind]
+        if not w.any():
+            w[0] = 1.0
+        table = _Alias(w)
+        units = np.rint(w[table.index] / w[table.index].sum() * 2.0**62).astype(np.int64)
+        units[np.argmax(units)] += 2**62 - units.sum()
+        padded = np.zeros(len(table.thr), dtype=np.int64)
+        padded[: len(units)] = units
+        thr, alias = _vose_loop(padded, table.unit)
+        assert table.thr.tolist() == thr and table.alias.tolist() == alias
+
+
+def _category_probs(cfg, mubs):
+    """routing x p(s_a) p(s_b) x pattern probability over (arm, cell, pattern), normalized."""
+    weights, (p_a, p_b, p_ab) = _click_table(cfg, mubs)
+    p_s = np.repeat(np.asarray(cfg.basis_bias) / cfg.dim, cfg.dim)
+    p_cell = np.outer(p_s, p_s).ravel()
+    patterns = [1.0 - p_a - p_b + p_ab, p_a - p_ab, p_b - p_ab, p_ab]
+    w = np.stack(patterns, axis=-1) * p_cell[:, None] * (weights / weights.sum())[:, None, None]
+    return w / w[w > 0].sum()
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_alias_table_reproduces_category_probabilities(d, mode):
+    rng = np.random.default_rng(40 + d)
+    table = EfficiencyTable(
+        dim=d, eta_a=rng.uniform(0.3, 1.0, (d + 1, d)), eta_b=rng.uniform(0.3, 1.0, (d + 1, d))
+    )
+    common = dict(dim=d, seed=1, rounds=10, efficiencies=table)
+    if mode == "eb":
+        cfg = eb_config(visibility=0.9, **common)
+    else:
+        cfg = ProtocolConfig(mode="pm", flip_prob=0.1, **common)
+    mubs = mub_set(d)
+    cats = _RoundKernel(cfg, mubs).cats
+    # Each slot gives thr units to its own position and the rest to its alias.
+    implied = cats.thr.copy()
+    np.add.at(implied, cats.alias, cats.unit - cats.thr)
+    assert implied.sum() == 2**62
+    assert not implied[len(cats.index) :].any()  # padding slots are never drawn
+    want = _category_probs(cfg, mubs).ravel()
+    assert np.array_equal(cats.index, np.flatnonzero(want > 0))
+    np.testing.assert_allclose(implied[: len(cats.index)] / 2.0**62, want[cats.index],
+                               rtol=0, atol=1e-15)
 
 
 def test_pm_effective_overlaps_ideal():
@@ -404,7 +499,7 @@ def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, batch):
     empty_chunks = 0
     for chunk in range(20 if batch is None else 2):
         full_rows, full_v = kernel.draw(chunk, CHUNK_ROUNDS, buf)
-        assert full_v.shape == (len(full_rows), 5)
+        assert full_v.shape == (len(full_rows),)
         assert np.all(np.diff(full_rows) > 0)
         assert len(full_rows) == 0 or 0 <= full_rows[0] <= full_rows[-1] < CHUNK_ROUNDS
         empty_chunks += len(full_rows) == 0
@@ -412,7 +507,7 @@ def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, batch):
             rows, v = kernel.draw(chunk, n, buf)
             k = np.searchsorted(full_rows, n)
             assert np.array_equal(rows, full_rows[:k])
-            assert np.array_equal(v, full_v[:k]) and v.shape == (k, 5)
+            assert np.array_equal(v, full_v[:k]) and v.shape == (k,)
     if pair_prob < 1e-3:
         assert empty_chunks > 0
 
@@ -443,19 +538,21 @@ def test_eb_created_rounds_are_binomial_and_evenly_spread():
 
 
 def test_one_arm_routing_never_produces_coincidences():
-    # White-box kernel check: force one-arm routing on created pairs, then
-    # hand the click variates certain hits; the other arm must stay silent.
-    cfg = eb_config(rounds=10, seed=0)
-    kernel = _RoundKernel(cfg, mub_set(2))
-    n = 64
-    v = np.zeros((n, 5))  # route, setting_a, setting_b, click_a, click_b
-    v[: n // 2, 0] = 0.6  # both photons to arm A
-    v[n // 2 :, 0] = 0.9  # both photons to arm B
-    _, _, click_a, click_b = kernel.clicks(v)  # click variates 0: fire if allowed
-    coinc = click_a & click_b
-    assert coinc.sum() == 0
-    assert click_a[: n // 2].all() and not click_b[: n // 2].any()
-    assert click_b[n // 2 :].all() and not click_a[n // 2 :].any()
+    # White-box kernel check: with perfect detectors, both photons in one arm
+    # always click there; the other arm must stay silent.
+    kernel = _RoundKernel(eb_config(rounds=10, seed=0), mub_set(2))
+    arm = kernel.arm
+    rows = kernel.rows[: len(arm)]  # the idle rows of a full log follow
+    assert not (kernel.coinc & (arm != 0)).any()  # no AA/BB coincidence in the table
+    assert rows["click_a"][arm == 1].all() and not rows["click_b"][arm == 1].any()
+    assert rows["click_b"][arm == 2].all() and not rows["click_a"][arm == 2].any()
+    drawn = np.zeros(3, dtype=np.int64)
+    for chunk in range(100):
+        _, v = kernel.draw(chunk, CHUNK_ROUNDS)
+        one_arm = kernel.route(v) != 0
+        assert not (one_arm & kernel.coinc[v]).any()
+        drawn += np.bincount(kernel.route(v), minlength=3)
+    assert drawn.min() > 0
 
 
 def test_pm_exact_mode_blocks():
