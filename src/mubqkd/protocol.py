@@ -1,17 +1,18 @@
 """Session simulation for the entanglement-based and prepare-and-measure modes.
 
 Each pump pulse is one protocol round.  Randomness is counter-based: the
-rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed by
-(seed, c), so chunks run on any worker and are handed on in chunk order
-(_run_chunked).  One round kernel serves both modes (see _RoundKernel):
-each candidate round takes one 64-bit word, which an alias table turns
-into its arm, setting pair and click pattern.  Every PM round is a
-candidate.  In EB the candidates are the rounds that create a pair, the
-ends of geometric gaps drawn first: one uniform per gap by inversion, in
-batches of a size fixed by the pair probability, until they pass the end
-of the whole chunk.  The settings of EB rounds without a pair are drawn
-only for the full log, one word each from a separate sub-stream of the
-chunk, so the counts are the same with and without it.
+rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed
+by (seed, c), so chunks run on any worker and are handed on in chunk
+order, each as a new array of its logged rows (_run_chunked).  One round
+kernel serves both modes (see _RoundKernel): each candidate round takes
+one 64-bit word, which an alias table turns into its arm, setting pair
+and click pattern.  Every PM round is a candidate.  In EB the candidates
+are the rounds that create a pair, the ends of geometric gaps drawn
+first: one uniform per gap by inversion, in batches of a size fixed by
+the pair probability, until they pass the end of the whole chunk.  The
+settings of EB rounds without a pair are drawn only for the full log,
+one word each from a separate sub-stream of the chunk, so the counts are
+the same with and without it.
 
 Entanglement-based rounds: a photon pair appears with probability
 alpha_sq * chi and splits AB/AA/BB with probabilities (1/2, 1/4, 1/4).
@@ -24,7 +25,6 @@ but never a coincidence.
 
 from __future__ import annotations
 
-import queue
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -306,12 +306,8 @@ class _RoundKernel:
         per = per.reshape(self.shape).sum(axis=0)
         return np.stack([per[:, 1] + per[:, 3], per[:, 2] + per[:, 3], per[:, 3]])
 
-    def run(self, chunk: int, n: int, keep_full: bool, dest: np.ndarray):
-        """Tally one chunk and write its logged rounds to the front of dest.
-
-        dest is a LOG_DTYPE block of at least n rows.  Returns the count of
-        each category (see fold) and the rows written.
-        """
+    def run(self, chunk: int, n: int, keep_full: bool):
+        """Tally one chunk: the count of each category (see fold) and its logged rows."""
         rows, cat = self.draw(chunk, n)
         n_cats = len(self.cats.index)
         tally = np.bincount(cat, minlength=n_cats)
@@ -328,10 +324,9 @@ class _RoundKernel:
             every[idle] = self.idle.draw(words) + n_cats
             every[rows] = cat
             rows, cat = np.arange(n), every
-        block = dest[: len(rows)]
-        np.take(self.rows, cat, out=block, mode="clip")
-        np.add(rows, chunk * CHUNK_ROUNDS, out=block["round"])
-        return tally, len(rows)
+        log = np.take(self.rows, cat, mode="clip")
+        np.add(rows, chunk * CHUNK_ROUNDS, out=log["round"])
+        return tally, log
 
 
 def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:
@@ -382,27 +377,18 @@ def _click_table(cfg: ProtocolConfig, mubs: MubSet):
 def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool, take_rows):
     """Run the session and return its counts; each chunk's logged rows go to take_rows.
 
-    The rows arrive in chunk order as a LOG_DTYPE block that a later chunk
-    overwrites, so take_rows copies what it keeps.  Worker threads run at
-    most 2 * workers chunks ahead: memory is O(workers * chunk).
+    The rows arrive in chunk order as a new LOG_DTYPE array that take_rows
+    may keep.  Worker threads run at most 2 * workers chunks ahead: memory
+    is O(workers * chunk).
     """
     if workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {workers}")
     kernel = _RoundKernel(cfg, mubs)
     n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
     workers = min(workers, n_chunks)
-    # A block of rows for each chunk in flight.  It goes back to the pool
-    # once take_rows has seen the rows, so no rows are copied out, and there
-    # is one per window slot, so no chunk waits for one.
-    pool = queue.LifoQueue()
-    for _ in range(2 * workers):
-        pool.put(np.empty(CHUNK_ROUNDS, dtype=LOG_DTYPE))
 
     def run(c: int):
-        block = pool.get()
-        n = min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS)
-        tally, k = kernel.run(c, n, keep_full_log, block)
-        return tally, block, k
+        return kernel.run(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS), keep_full_log)
 
     def threaded():
         # A sliding window, not one map per batch: no batch waits on its slowest chunk.
@@ -414,10 +400,9 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
                 window.extend(islice(futures, 1))
 
     totals = np.zeros(len(kernel.cats.index), dtype=np.int64)
-    for tally, block, k in map(run, range(n_chunks)) if workers == 1 else threaded():
+    for tally, rows in map(run, range(n_chunks)) if workers == 1 else threaded():
         totals += tally
-        take_rows(block[:k])
-        pool.put(block)
+        take_rows(rows)
 
     return _from_flat(
         cfg.dim, kernel.fold(totals), metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
@@ -427,7 +412,8 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
 def _session(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool):
     """Counts plus the in-memory log, the library's consumer of _run_chunked.
 
-    Rows move as uint8 views: a copy of the packed records goes field by field.
+    The coincident log keeps each chunk's rows and joins them once.  Rows
+    move as uint8 views: a copy of the packed records goes field by field.
     """
     if keep_full_log:
         if cfg.rounds >= FULL_LOG_WARN_ROUNDS:
@@ -446,13 +432,11 @@ def _session(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: boo
         # Exact-size blocks joined once: numpy asks for huge pages on large
         # arrays, so a rounds-sized buffer would take more than the rows fill.
         blocks = []
-
-        def take_rows(rows):
-            blocks.append(rows.view(np.uint8).copy())
+        take_rows = blocks.append
 
     counts = _run_chunked(cfg, mubs, workers, keep_full_log, take_rows)
     if not keep_full_log:
-        log = np.concatenate(blocks).view(LOG_DTYPE)
+        log = np.concatenate([b.view(np.uint8) for b in blocks]).view(LOG_DTYPE)
     return SessionRecord(
         config=cfg,
         counts=counts,

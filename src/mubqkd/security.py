@@ -131,7 +131,7 @@ def q_max(d: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     """
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     lo, hi = 0.0, (d - 1) / d
     for _ in range(200):

@@ -18,6 +18,7 @@ from mubqkd.protocol import (
     _Alias,
     _RoundKernel,
     _click_table,
+    _run_chunked,
     default_basis_bias,
     estimate_parameters,
     expected_count_matrix,
@@ -314,8 +315,8 @@ def test_worker_count_below_one_is_rejected(workers):
 
 
 def test_threaded_stream_under_frequent_thread_switches():
-    # More workers than cores and a tiny switch interval: a block handed back
-    # to the pool too early, or results out of order, would change the log.
+    # More workers than cores and a tiny switch interval: rows shared between
+    # chunks, or results out of order, would change the log.
     cfg = ProtocolConfig(dim=3, mode="pm", rounds=9 * CHUNK_ROUNDS + 5, seed=70)
     mubs = mub_set(3)
     want = run_pm_session(cfg, mubs, keep_full_log=True)
@@ -334,6 +335,25 @@ def test_threaded_stream_under_frequent_thread_switches():
     assert not worker.is_alive()
     assert got[0].log.tobytes() == want.log.tobytes()
     assert np.array_equal(got[0].counts.coincidences, want.counts.coincidences)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("keep_full", [False, True])
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_chunk_rows_may_be_kept_without_a_copy(mode, keep_full, workers):
+    # More chunks than window slots: no chunk may write over rows handed on earlier.
+    rounds = 7 * CHUNK_ROUNDS + 11
+    if mode == "eb":
+        cfg = eb_config(dim=3, rounds=rounds, seed=62, visibility=0.9)
+        run = run_eb_session
+    else:
+        cfg = ProtocolConfig(dim=3, mode="pm", rounds=rounds, seed=62, flip_prob=0.05)
+        run = run_pm_session
+    mubs = mub_set(3)
+    kept = []
+    _run_chunked(cfg, mubs, workers, keep_full, kept.append)
+    joined = np.concatenate([rows.view(np.uint8) for rows in kept])
+    assert joined.tobytes() == run(cfg, mubs, keep_full_log=keep_full).log.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

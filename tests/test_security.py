@@ -219,8 +219,9 @@ def test_q_max_matches_fine_grid_scan():
 
 
 def test_q_max_tolerance_validation():
-    with pytest.raises(ValueError):
-        q_max(2, tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            q_max(2, tol=tol)
 
 
 def test_holevo_gap_not_clipped():
