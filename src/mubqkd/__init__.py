@@ -17,8 +17,6 @@ from .bases import (
     save_bases,
     standard_basis,
     unbiasedness_report,
-    weyl_x,
-    weyl_z,
 )
 from .counts import CountMatrix, load_counts, normalize_blocks, save_counts
 from .errors import (

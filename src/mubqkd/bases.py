@@ -3,8 +3,10 @@
 A complete set for dimension d holds d+1 bases: the standard basis plus,
 for prime d, the eigenbases of the unitaries X Z^l for l = 0 .. d-1, where
 Z and X are the generalized phase and shift operators.  Dimension 4 is not
-prime; its set is built instead from five commuting classes of two-qubit
-Pauli operators whose joint eigenbases are pairwise unbiased.
+prime; its four other bases are the closed-form quadratic-phase bases of
+two qubits, each the joint eigenbasis of the Pauli class its label names.
+Every vector comes from a closed formula; the finished set is validated
+once, by the MubSet that holds it.
 
 A MubSet stacks its vectors once into the read-only (n_b, d, d) array
 ``_stack``, indexed [basis, element, amplitude].  Every overlap in the package derives from
@@ -25,7 +27,6 @@ from .errors import ConstructionError, DimensionError, ParseError
 
 ORTHONORMALITY_TOL = 1e-12
 UNBIASEDNESS_TOL = 1e-10
-EIGENVECTOR_RESIDUAL_TOL = 1e-10
 
 SUPPORTED_DIMENSIONS = (2, 3, 4, 5, 7)
 
@@ -160,24 +161,6 @@ def unbiasedness_report(mubs: MubSet) -> UnbiasednessReport:
     return UnbiasednessReport(float(max_dev), float(max_defect))
 
 
-def weyl_z(d: int) -> np.ndarray:
-    """Generalized phase operator: Z|i> = w^i |i> with w = exp(2 pi i / d)."""
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
-    omega = cmath.exp(2j * cmath.pi / d)
-    return np.diag([omega**i for i in range(d)]).astype(np.complex128)
-
-
-def weyl_x(d: int) -> np.ndarray:
-    """Generalized shift operator: X|i> = |i+1 mod d>."""
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
-    x = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        x[(i + 1) % d, i] = 1.0
-    return x
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -201,22 +184,15 @@ def eigenbasis_xzl(d: int, l: int) -> Basis:
     # Eigenvalue phases are integer multiples of pi/d; keeping the exponents
     # as integers mod 2d makes the phase-ascending order exact.
     numerators = sorted((l * (d - 1) + 2 * m) % (2 * d) for m in range(d))
-    op = weyl_x(d) @ np.linalg.matrix_power(weyl_z(d), l)
     scale = 1.0 / math.sqrt(d)
 
     vectors = []
     for numer in numerators:
-        lam = cmath.exp(1j * cmath.pi * numer / d)
         exponents = [(l * j * (j - 1) - numer * j) % (2 * d) for j in range(d)]
         amps = np.array(
             [scale * cmath.exp(1j * cmath.pi * e / d) for e in exponents],
             dtype=np.complex128,
         )
-        residual = np.linalg.norm(op @ amps - lam * amps)
-        if residual > EIGENVECTOR_RESIDUAL_TOL:
-            raise ConstructionError(
-                f"eigenvector residual {residual:.3e} for d={d}, l={l}, phase {numer}pi/{d}"
-            )
         vectors.append(Ket(amps))
     return Basis(label=f"XZ^{l}", vectors=tuple(vectors))
 
@@ -227,107 +203,47 @@ def standard_basis(d: int) -> Basis:
     return Basis(label="Z", vectors=tuple(Ket(eye[:, k]) for k in range(d)))
 
 
-# Dimension 4: five commuting classes of two-qubit Pauli operators.  Each
-# class determines one common eigenbasis; the classes below partition all
-# fifteen non-identity Pauli pairs, so the five eigenbases are pairwise
-# unbiased.  The partition is validated at import of the builder, not trusted.
-_TWO_QUBIT_CLASSES: tuple[tuple[str, str, str], ...] = (
-    ("ZI", "IZ", "ZZ"),
-    ("XI", "IX", "XX"),
-    ("YI", "IY", "YY"),
-    ("XY", "YZ", "ZX"),
-    ("YX", "ZY", "XZ"),
+# Dimension 4: the quadratic-phase bases of two qubits (Wootters and Fields,
+# Ann. Phys. 191:363, 1989).  Vector b = 2 b1 + b2 of a row has amplitude
+# i^(x.A x) (-1)^(b.x) / 2 at x = 2 x1 + x2, with A the row's symmetric
+# binary matrix.  Each basis is the joint eigenbasis of the Pauli class its
+# label names, and the row's order of b lists its vectors by the signs
+# (+,+), (+,-), (-,+), (-,-) on those two Paulis.
+_TWO_QUBIT_BASES: tuple[tuple[str, tuple, tuple[int, ...]], ...] = (
+    ("XI,IX", ((0, 0), (0, 0)), (0, 1, 2, 3)),
+    ("YI,IY", ((1, 0), (0, 1)), (0, 1, 2, 3)),
+    ("XY,YZ", ((1, 1), (1, 0)), (1, 2, 0, 3)),
+    ("YX,ZY", ((0, 1), (1, 1)), (2, 1, 0, 3)),
 )
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+# i^k / 2 by k mod 4, spelled so that no real part is -0.0 (which would be
+# saved as "-0"), and the bits (x1, x2) of x = 0 .. 3.
+_HALF_I_POWERS = np.array([0.5, 0.5j, -0.5, complex(0.0, -0.5)])
+_TWO_BITS = np.array([divmod(x, 2) for x in range(4)])
 
 
-def _two_qubit_pauli(label: str) -> np.ndarray:
-    return np.kron(_PAULI_1Q[label[0]], _PAULI_1Q[label[1]])
-
-
-def _check_pauli_classes() -> None:
-    labels = [lab for cls in _TWO_QUBIT_CLASSES for lab in cls]
-    expected = {a + b for a in "IXYZ" for b in "IXYZ"} - {"II"}
-    if len(labels) != 15 or set(labels) != expected:
-        raise ConstructionError("two-qubit Pauli classes do not partition the 15 operators")
-    for cls in _TWO_QUBIT_CLASSES:
-        ops = [_two_qubit_pauli(lab) for lab in cls]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-                if np.max(np.abs(comm)) > ORTHONORMALITY_TOL:
-                    raise ConstructionError(
-                        f"operators {cls[i]} and {cls[j]} do not commute"
-                    )
-
-
-def _fix_global_phase(amps: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Rotate so the first amplitude of modulus > tol is real-positive."""
-    idx = np.flatnonzero(np.abs(amps) > tol)
-    if idx.size == 0:
-        raise ConstructionError("cannot fix the phase of a null vector")
-    lead = amps[idx[0]]
-    return amps * (abs(lead) / lead)
-
-
-def _class_eigenbasis(cls: tuple[str, str, str]) -> Basis:
-    """Common eigenbasis of one commuting Pauli class via joint projectors."""
-    g1 = _two_qubit_pauli(cls[0])
-    g2 = _two_qubit_pauli(cls[1])
-    g3 = _two_qubit_pauli(cls[2])
-    eye = np.eye(4, dtype=np.complex128)
-
-    # Within a commuting class g1 g2 = c g3 with c = +/-1; the joint
-    # eigenvector at signs (s1, s2) therefore carries eigenvalue c s1 s2
-    # on the third member.
-    prod = g1 @ g2
-    idx = np.unravel_index(int(np.argmax(np.abs(g3))), g3.shape)
-    c = complex(prod[idx] / g3[idx])
-    if abs(c.imag) > ORTHONORMALITY_TOL or abs(abs(c.real) - 1.0) > ORTHONORMALITY_TOL:
-        raise ConstructionError(f"class {cls} is not closed under multiplication")
-    if np.max(np.abs(prod - c.real * g3)) > ORTHONORMALITY_TOL:
-        raise ConstructionError(f"class {cls} is not closed under multiplication")
-
-    vectors = []
-    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        proj = (eye + s1 * g1) @ (eye + s2 * g2) / 4.0
-        diag = proj.diagonal().real
-        pivot = int(np.argmax(diag))
-        if diag[pivot] <= EIGENVECTOR_RESIDUAL_TOL:
-            raise ConstructionError(f"joint projector for {cls} at signs ({s1},{s2}) is null")
-        amps = _fix_global_phase(proj[:, pivot] / math.sqrt(diag[pivot]))
-        checks = ((cls[0], g1, s1), (cls[1], g2, s2), (cls[2], g3, c.real * s1 * s2))
-        for lab, op, sign in checks:
-            residual = np.linalg.norm(op @ amps - sign * amps)
-            if residual > EIGENVECTOR_RESIDUAL_TOL:
-                raise ConstructionError(
-                    f"vector for {cls} signs ({s1},{s2}) fails eigen check on {lab}: "
-                    f"residual {residual:.3e}"
-                )
-        vectors.append(Ket(amps))
-    return Basis(label=f"{cls[0]},{cls[1]}", vectors=tuple(vectors))
+def _quadratic_phase_basis(label: str, a: tuple, order: tuple[int, ...]) -> Basis:
+    quad = np.einsum("xi,ij,xj->x", _TWO_BITS, np.array(a), _TWO_BITS)
+    powers = quad + 2 * (_TWO_BITS[list(order)] @ _TWO_BITS.T)  # [vector, x]
+    amps = _HALF_I_POWERS[powers % 4]
+    return Basis(label=label, vectors=tuple(Ket(v) for v in amps))
 
 
 def mub_set(d: int) -> MubSet:
     """Build the complete set of d+1 mutually unbiased bases.
 
     Prime dimensions use the standard basis plus the eigenbases of X Z^l;
-    dimension 4 uses the five two-qubit Pauli classes.  Other dimensions
-    are rejected: no complete construction is wired up for them.
+    dimension 4 uses the standard basis plus four quadratic-phase bases.
+    Other dimensions are rejected: no complete construction is wired up
+    for them.
     """
     if d not in SUPPORTED_DIMENSIONS:
         raise DimensionError(
             f"unsupported dimension {d}; supported dimensions are {SUPPORTED_DIMENSIONS}"
         )
     if d == 4:
-        _check_pauli_classes()
-        bases = [_class_eigenbasis(cls) for cls in _TWO_QUBIT_CLASSES]
+        bases = [Basis(label="ZI,IZ", vectors=standard_basis(4).vectors)]
+        bases.extend(_quadratic_phase_basis(*row) for row in _TWO_QUBIT_BASES)
     else:
         bases = [standard_basis(d)]
         bases.extend(eigenbasis_xzl(d, l) for l in range(d))

@@ -264,6 +264,7 @@ def load_efficiency_table(path) -> EfficiencyTable:
         raise ParseError(f"dimension {dim} outside the supported range 2..{_MAX_DIM}", lines[0][0])
     eta_a = np.full((dim + 1, dim), np.nan)
     eta_b = np.full((dim + 1, dim), np.nan)
+    seen = set()
     for lineno, text in lines[1:]:
         if text.startswith("index"):
             continue
@@ -277,6 +278,9 @@ def load_efficiency_table(path) -> EfficiencyTable:
             raise ParseError(f"bad efficiency row {text!r}", lineno) from None
         if not 1 <= idx <= (dim + 1) * dim:
             raise ParseError(f"vector index {idx} out of range for dim {dim}", lineno)
+        if idx in seen:
+            raise ParseError(f"duplicate vector index {idx}", lineno)
+        seen.add(idx)
         basis, elem = divmod(idx - 1, dim)
         eta_a[basis, elem] = vals[0]
         eta_b[basis, elem] = vals[1]

@@ -155,6 +155,20 @@ def holevo_gap(i_ab: float, r_min: float) -> float:
     return i_ab - r_min
 
 
+def _gap_tolerance(d: int, n_same: float) -> float:
+    """How far below zero sampling alone can push the eavesdropper bound.
+
+    At Q = 0 the pooled joint is diagonal, so I(A:B) = H(A), and the plug-in
+    shortfall log2 d - H(A) over n_same same-basis coincidences is about
+    chi2(d-1) / (2 n_same ln 2) (Miller 1955).  The tolerance takes the
+    Wilson-Hilferty quantile of chi2(d-1) at z = 6.
+    """
+    k = d - 1
+    c = 2.0 / (9.0 * k)
+    quantile = k * (1.0 - c + 6.0 * math.sqrt(c)) ** 3
+    return quantile / (2.0 * n_same * math.log(2.0))
+
+
 def joint_distribution_from_counts(counts: CountMatrix) -> np.ndarray:
     """Outcome-pair probabilities [a, b] pooled over all same-basis coincidences."""
     n_b = counts.n_bases
@@ -179,10 +193,12 @@ class SecurityReport:
     h_ab: float
     i_ab: float
     gap: float
+    gap_tol: float
 
     @property
     def gap_suspect(self) -> bool:
-        return self.gap < 0.0
+        """The bound is negative by more than sampling error explains."""
+        return self.gap < -self.gap_tol
 
     def to_text(self) -> str:
         by_basis = ", ".join(
@@ -225,6 +241,8 @@ def analyze_counts(counts: CountMatrix, tol: float = DEFAULT_ROOT_TOL) -> Securi
     """Run the full post-processing chain on one counts matrix."""
     per_basis, q_avg = empirical_qber(counts)
     joint = joint_distribution_from_counts(counts)
+    n_b = counts.n_bases
+    n_same = float(counts.coincidences[range(n_b), :, range(n_b), :].sum())
     h_a, h_b, h_ab = (shannon_entropy(p) for p in (joint.sum(axis=1), joint.sum(axis=0), joint))
     i_ab = h_a + h_b - h_ab
     rate = key_rate(counts.dim, q_avg)
@@ -240,4 +258,6 @@ def analyze_counts(counts: CountMatrix, tol: float = DEFAULT_ROOT_TOL) -> Securi
         h_ab=h_ab,
         i_ab=i_ab,
         gap=holevo_gap(i_ab, rate),
+        # Expectation-valued counts carry no sampling error.
+        gap_tol=0.0 if counts.exact else _gap_tolerance(counts.dim, n_same),
     )

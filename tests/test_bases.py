@@ -14,8 +14,6 @@ from mubqkd.bases import (
     save_bases,
     standard_basis,
     unbiasedness_report,
-    weyl_x,
-    weyl_z,
 )
 from mubqkd.errors import ConstructionError, DimensionError, ParseError
 
@@ -33,6 +31,24 @@ D3_REFERENCE = [
     )
     / np.sqrt(3),
 ]
+
+
+def weyl_z(d):
+    """Generalized phase operator: Z|i> = w^i |i> with w = exp(2 pi i / d)."""
+    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+
+
+def weyl_x(d):
+    """Generalized shift operator: X|i> = |i+1 mod d>."""
+    return np.roll(np.eye(d), 1, axis=0)
+
+
+PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
 
 
 def test_weyl_operators_small():
@@ -123,7 +139,7 @@ def test_d3_matches_published_matrices():
 
 
 def test_eigenbasis_actually_diagonalizes_operator():
-    for d in (3, 5, 7):
+    for d in (2, 3, 5, 7):
         x, z = weyl_x(d), weyl_z(d)
         for l in range(d):
             op = x @ np.linalg.matrix_power(z, l)
@@ -152,6 +168,17 @@ def test_d4_uses_two_qubit_structure():
     # First basis is the standard basis.
     mat = np.column_stack([k.amplitudes for k in mubs.bases[0].vectors])
     assert np.allclose(mat, np.eye(4))
+    # Vector k of basis "g1,g2" is the joint eigenvector of the two Paulis
+    # at the k-th sign pair, with its first nonzero amplitude real-positive.
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    for basis in mubs.bases:
+        ops = [np.kron(PAULI[g[0]], PAULI[g[1]]) for g in basis.label.split(",")]
+        for ket, pair in zip(basis.vectors, signs):
+            v = ket.amplitudes
+            for op, sign in zip(ops, pair):
+                assert np.linalg.norm(op @ v - sign * v) < 1e-12
+            lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
+            assert lead.imag == 0 and lead.real > 0
 
 
 @pytest.mark.parametrize("d", [1, 6, 8, 9, 10, 12])

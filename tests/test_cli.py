@@ -606,6 +606,19 @@ def test_eta_file_dimension_is_bounded_before_allocating(tmp_path, capsys, dim):
     assert not out.exists()
 
 
+def test_eta_file_duplicate_index_is_rejected(tmp_path, capsys):
+    eta, out = tmp_path / "eta.txt", tmp_path / "c.csv"
+    eta.write_text("dim 2\nindex eta_a eta_b\n1 0.5 0.5\n1 0.9 0.9\n")
+    code = run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1",
+        "--eta-file", str(eta), "--out", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 4: duplicate vector index 1\n"
+    assert not out.exists()
+
+
 # Valid runs of the commands that take numbers; each case below breaks one value.
 _FINITE_ARGS = {
     "simulate": ["--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1"],

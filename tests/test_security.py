@@ -8,7 +8,8 @@ import pytest
 from mubqkd.bases import mub_set
 from mubqkd.counts import CountMatrix
 from mubqkd.errors import CountDataError, DimensionError, NumericError
-from mubqkd.protocol import ProtocolConfig, expected_count_matrix
+from mubqkd.photonics import SourceParams
+from mubqkd.protocol import ProtocolConfig, _run_chunked, expected_count_matrix
 from mubqkd.security import (
     analyze_counts,
     average_qber,
@@ -321,6 +322,34 @@ def test_report_text_flags_inconsistency():
     bad = replace(report, gap=-0.1)
     assert bad.gap_suspect
     assert "warning" in bad.to_text()
+
+
+@pytest.mark.filterwarnings("ignore:bases .* have no same-basis coincidences")
+@pytest.mark.parametrize("mode, rounds", [("pm", 20_000), ("eb", 400_000)])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_noiseless_sampled_runs_raise_no_gap_warning(mode, rounds, d):
+    # At Q = 0 the plug-in H(A) of a finite sample sits below log2 d, so the
+    # bound is slightly negative; that alone must not read as inconsistent.
+    mubs = mub_set(d)
+    source = SourceParams(pulses=rounds, alpha_sq=0.1, chi=0.5) if mode == "eb" else None
+    for seed in range(20):
+        cfg = ProtocolConfig(dim=d, mode=mode, rounds=rounds, seed=seed, source=source)
+        report = analyze_counts(_run_chunked(cfg, mubs, 1, False, lambda rows: None))
+        assert report.qber == 0.0
+        assert not report.gap_suspect
+        assert "warning" not in report.to_text()
+
+
+def test_report_text_flags_uncorrelated_outcomes():
+    # Every coincidence on element 0: Q = 0, so the rate is log2 d, but I = 0.
+    co = np.zeros((4, 3, 4, 3))
+    co[:, 0, :, 0] = 1000.0
+    counts = CountMatrix(dim=3, singles_a=co, singles_b=co, coincidences=co)
+    report = analyze_counts(counts)
+    assert report.qber == 0.0
+    assert report.i_ab == 0.0
+    assert report.gap_suspect
+    assert "warning: negative eavesdropper bound" in report.to_text()
 
 
 def test_report_csv_rows_format():
