@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionError, ParseError
+from .errors import ConstructionError, DimensionError, ParseError, check_range
 
 ORTHONORMALITY_TOL = 1e-12
 UNBIASEDNESS_TOL = 1e-10
@@ -48,9 +48,8 @@ class Ket:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.amplitudes)
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > ORTHONORMALITY_TOL:
-            raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        defect = abs(np.linalg.norm(arr) - 1.0)
+        check_range("|ket norm - 1|", defect, 0, ORTHONORMALITY_TOL, error=ValueError)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -115,12 +114,12 @@ class MubSet:
         object.__setattr__(self, "_stack", stack)
         if check:
             report = unbiasedness_report(self)
-            if report.max_orthonormality_defect > ORTHONORMALITY_TOL:
+            if not report.max_orthonormality_defect <= ORTHONORMALITY_TOL:
                 raise ValueError(
                     "bases are not orthonormal: max defect "
                     f"{report.max_orthonormality_defect:.3e}"
                 )
-            if report.max_unbiased_deviation > UNBIASEDNESS_TOL:
+            if not report.max_unbiased_deviation <= UNBIASEDNESS_TOL:
                 raise ValueError(
                     "bases are not mutually unbiased: max overlap deviation "
                     f"{report.max_unbiased_deviation:.3e}"
@@ -178,8 +177,7 @@ def eigenbasis_xzl(d: int, l: int) -> Basis:
     """
     if not _is_prime(d):
         raise DimensionError(f"eigenbasis construction requires prime dimension, got {d}")
-    if not 0 <= l < d:
-        raise ValueError(f"operator exponent must satisfy 0 <= l < d, got {l}")
+    check_range("operator exponent l", l, 0, d, "[)", error=ValueError)
 
     # Eigenvalue phases are integer multiples of pi/d; keeping the exponents
     # as integers mod 2d makes the phase-ascending order exact.

@@ -26,6 +26,7 @@ from .errors import (
     MubQkdError,
     NumericError,
     ParseError,
+    check_range,
 )
 from .photonics import (
     SourceParams,
@@ -141,8 +142,10 @@ class _Options:
     def get(self, key: str, default=None, required: bool = False):
         value = getattr(self.args, key, None)
         if value is None and key in self.config:
-            convert = self.known[key]
-            value = convert(self.config[key])
+            try:
+                value = self.known[key](self.config[key])
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: bad value {self.config[key]!r}") from None
         if value is None:
             value = default
         if required and value is None:
@@ -181,6 +184,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     opts = _Options(args)
     mode = opts.get("mode", required=True)
     d = opts.get("dim", required=True)
+    mubs = mub_set(d)  # first: the bias and efficiency table allocate by d
     rounds = opts.get("rounds", required=True)
     exact = bool(opts.get("exact", False))
     seed = opts.get("seed", 0 if exact else None, required=True)  # exact counts draw nothing
@@ -201,14 +205,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     eta_file = opts.get("eta_file")
     table = load_efficiency_table(eta_file) if eta_file else None
 
-    source = None
-    if mode == "eb":
-        # A negative round count is left for ProtocolConfig to report by name.
-        source = SourceParams(
-            pulses=max(rounds, 0),
-            alpha_sq=opts.get("alpha_sq", 0.1),
-            chi=opts.get("chi", 0.5),
-        )
+    # Built in both modes, so that a bad alpha_sq or chi fails even where only
+    # eb reads it.  A negative round count is left for ProtocolConfig to report.
+    source = SourceParams(max(rounds, 0), opts.get("alpha_sq", 0.1), opts.get("chi", 0.5))
 
     cfg = ProtocolConfig(
         dim=d,
@@ -218,17 +217,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         basis_bias=bias,
         visibility=visibility,
         flip_prob=opts.get("flip_prob", 0.0),
-        source=source,
+        source=source if mode == "eb" else None,
         efficiencies=table,
     )
-    mubs = mub_set(d)
     workers = opts.get("workers", 1)
     log_path = opts.get("log")
 
     if exact and mode == "eb":
         raise ConfigError("exact mode is only available for prepare-and-measure runs")
-    if workers < 1:  # the session driver checks too, but --exact never reaches it
-        raise ConfigError(f"worker count must be at least 1, got {workers}")
+    check_range("worker count", workers, 1)  # --exact never reaches the session's check
 
     def simulate(take_rows=lambda rows: None):
         if exact:

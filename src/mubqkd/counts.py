@@ -135,7 +135,7 @@ def load_counts(
 
     ``dim`` may be omitted, in which case it is inferred from the largest
     element index and cross-checked against the number of bases seen; it
-    must lie in 2..10 either way.
+    is bounded to 2..10 either way.
     ``allow_float`` admits expectation-valued rows (the --prob path) and
     ``allow_partial`` skips the full-grid completeness check; missing
     setting pairs are stored as zeros.  A leading ``# exact`` comment,

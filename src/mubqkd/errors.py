@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one range check that raises them.
 
 The CLI maps these onto exit codes: validation problems (bad dimensions,
 malformed files, inconsistent counts, bad configuration) exit with 1,
 numeric failures (root bracketing, construction checks) exit with 2.
 """
+
+import math
 
 
 class MubQkdError(Exception):
@@ -38,3 +40,20 @@ class ParseError(CountDataError):
 
 class NumericError(MubQkdError, ArithmeticError):
     """A numeric routine failed (no bracket, no convergence, bad domain)."""
+
+
+def check_range(name, value, lo=-math.inf, hi=math.inf, ends="[]", error=ConfigError):
+    """Return value if it lies between lo and hi, else raise error naming it.
+
+    ends holds the two brackets: "[" and "]" include their bound, "(" and
+    ")" exclude it.  Every test asks "is it inside?", so NaN fails, and so
+    do infinite values: the interval holds real numbers only.
+    """
+    if lo < value < hi:  # the fast path: nothing strictly between two bounds is infinite
+        return value
+    above = lo < value if ends[0] == "(" else lo <= value
+    below = value < hi if ends[1] == ")" else value <= hi
+    if above and below and abs(value) < math.inf:
+        return value
+    left, right = "(" if lo == -math.inf else ends[0], ")" if hi == math.inf else ends[1]
+    raise error(f"{name} must lie in {left}{lo:.6g}, {hi:.6g}{right}, got {value}")

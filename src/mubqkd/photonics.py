@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .counts import _MAX_DIM, CountMatrix, _from_flat
-from .errors import ConfigError, CountDataError, DimensionError, ParseError
+from .errors import ConfigError, CountDataError, DimensionError, ParseError, check_range
 
 Setting = tuple[int, int]
 Pairing = Callable[[Setting], Setting]
@@ -39,17 +39,12 @@ class SourceParams:
     chi: float
 
     def __post_init__(self):
-        if self.pulses < 0:
-            raise ConfigError(f"pulse count must be nonnegative, got {self.pulses}")
-        if not (self.alpha_sq > 0 and self.chi > 0):  # also rejects NaN
-            raise ConfigError("alpha_sq and chi must be positive")
+        check_range("pulse count", self.pulses, 0)
+        check_range("alpha_sq", self.alpha_sq, 0, ends="(]")
+        check_range("chi", self.chi, 0, ends="(]")
         if self.alpha_sq * self.chi == 0.0:
             raise ConfigError(f"alpha_sq * chi = {self.alpha_sq:g} * {self.chi:g} underflows to 0")
-        if self.alpha_sq * self.chi >= PERTURBATIVE_CEILING:
-            raise ConfigError(
-                f"alpha_sq * chi = {self.alpha_sq * self.chi:.4f} leaves the "
-                f"perturbative regime (must stay below {PERTURBATIVE_CEILING})"
-            )
+        check_range("alpha_sq * chi", self.pair_prob, 0, PERTURBATIVE_CEILING, "()")
 
     @property
     def pair_prob(self) -> float:
@@ -99,8 +94,8 @@ class EfficiencyTable:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape} for dim {self.dim}"
                 )
-            finite = arr[np.isfinite(arr)]
-            if finite.size and (np.min(finite) <= 0 or np.max(finite) > 1 + EFFICIENCY_SLACK):
+            data = arr[~np.isnan(arr)]  # NaN is "no data"; +-inf is out of range
+            if data.size and not (np.min(data) > 0 and np.max(data) <= 1 + EFFICIENCY_SLACK):
                 raise ValueError(f"{name} holds an efficiency outside (0, 1]")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

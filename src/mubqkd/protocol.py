@@ -36,7 +36,7 @@ import numpy as np
 
 from .bases import MubSet, _gram
 from .counts import _MAX_DIM, CountMatrix, _from_flat
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_range
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
 from .states import isotropic_state, joint_prob_matrix
 
@@ -68,8 +68,7 @@ SIFT_DTYPE = np.dtype(
 
 def default_basis_bias(d: int, epsilon: float = 0.1) -> tuple[float, ...]:
     """Favor basis 0 with weight 1 - epsilon; split the rest evenly."""
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_range("epsilon", epsilon, 0, 1, "()")
     return (1.0 - epsilon,) + (epsilon / d,) * d
 
 
@@ -95,24 +94,19 @@ class ProtocolConfig:
     efficiencies: EfficiencyTable | None = None
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ConfigError(f"dimension must be at least 2, got {self.dim}")
+        check_range("dimension", self.dim, 2)
         if self.mode not in ("eb", "pm"):
             raise ConfigError(f"mode must be 'eb' or 'pm', got {self.mode!r}")
-        if self.rounds < 1:
-            raise ConfigError(f"round count must be positive, got {self.rounds}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        check_range("round count", self.rounds, 1)
+        check_range("seed", self.seed, 0, 2**64, "[)")
         bias = self.basis_bias
         if bias is None:
             bias = default_basis_bias(self.dim)
         bias = tuple(float(b) for b in bias)
         _check_bias(bias, self.dim + 1)
         object.__setattr__(self, "basis_bias", bias)
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ConfigError(f"visibility must lie in [0, 1], got {self.visibility}")
-        if not 0.0 <= self.flip_prob < 1.0:
-            raise ConfigError(f"flip probability must lie in [0, 1), got {self.flip_prob}")
+        check_range("visibility", self.visibility, 0, 1)
+        check_range("flip probability", self.flip_prob, 0, 1, "[)")
         if self.mode == "eb" and self.source is None:
             raise ConfigError("entanglement-based sessions need source parameters")
         eff = self.efficiencies
@@ -381,8 +375,7 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
     may keep.  Worker threads run at most 2 * workers chunks ahead: memory
     is O(workers * chunk).
     """
-    if workers < 1:
-        raise ConfigError(f"worker count must be at least 1, got {workers}")
+    check_range("worker count", workers, 1)
     kernel = _RoundKernel(cfg, mubs)
     n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
     workers = min(workers, n_chunks)
@@ -533,8 +526,7 @@ def estimate_parameters(
     are reported as None, and the average runs over the available bases.
     The remaining rounds form the surviving key material.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"sample fraction must lie in (0, 1), got {fraction}")
+    check_range("sample fraction", fraction, 0, 1, "()")
     n = len(sifted)
     if n == 0:
         raise ConfigError("no sifted rounds to estimate from")

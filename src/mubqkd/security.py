@@ -22,7 +22,7 @@ import numpy as np
 
 from .bases import MubSet
 from .counts import CountMatrix
-from .errors import CountDataError, DimensionError, NumericError
+from .errors import CountDataError, DimensionError, NumericError, check_range
 from .states import DensityOperator, joint_prob_matrix
 
 PROBABILITY_TOL = 1e-12
@@ -57,11 +57,8 @@ def isotropic_joint_distribution(d: int, q: float) -> np.ndarray:
     Diagonal cells carry (1 - q)/d each, off-diagonal cells q/(d (d-1));
     this is the distribution every basis of a complete unbiased set sees.
     """
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
-    ceiling = (d - 1) / d
-    if not 0.0 <= q <= ceiling:
-        raise ValueError(f"error rate {q} outside [0, {ceiling:.6f}] for d={d}")
+    check_range("dimension", d, 2, error=DimensionError)
+    check_range(f"error rate for d={d}", q, 0, (d - 1) / d, error=ValueError)
     return np.where(np.eye(d, dtype=bool), (1.0 - q) / d, q / (d * (d - 1)))
 
 
@@ -99,10 +96,8 @@ def empirical_qber(counts: CountMatrix) -> tuple[list[float | None], float]:
 
 def key_rate(d: int, q: float) -> float:
     """Asymptotic secret fraction of the d-dimensional protocol at error rate q."""
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
-    if not q >= 0:  # also rejects NaN
-        raise ValueError(f"error rate must be a nonnegative number, got {q}")
+    check_range("dimension", d, 2, error=DimensionError)
+    check_range("error rate", q, 0, error=ValueError)
     t = (d + 1) / d * q
     if t >= 1.0:
         raise ValueError(
@@ -129,10 +124,8 @@ def q_max(d: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     -log2 d < 0 at the uniform error (d-1)/d, and so has exactly one root
     in that bracket, which is bisected until |key_rate| < tol.
     """
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
-    if not tol > 0:  # also rejects NaN
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_range("dimension", d, 2, error=DimensionError)
+    check_range("tolerance", tol, 0, ends="(]", error=ValueError)
     lo, hi = 0.0, (d - 1) / d
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MubSet
-from .errors import DimensionError
+from .errors import DimensionError, check_range
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -41,10 +41,10 @@ class DensityOperator:
                 f"density matrix shape {m.shape} does not match local dimension "
                 f"{self.dim} (expected {(n, n)})"
             )
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
+        if not (np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL):
+            raise ValueError("density matrix is not a finite Hermitian matrix")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, not 1")
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < -POSITIVITY_TOL:
@@ -76,8 +76,8 @@ class JointProbMatrix:
         avail = np.array(self.block_available, dtype=bool)
         if avail.shape != (n_b, n_b):
             raise DimensionError("block availability mask has wrong shape")
-        if np.min(p) < -1e-15:
-            raise ValueError(f"negative probability {np.min(p):.3e}")
+        if not (np.min(p) >= -1e-15 and np.max(p) < np.inf):  # also rejects NaN
+            raise ValueError(f"probabilities must be finite and nonnegative, min {np.min(p):.3e}")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         avail.setflags(write=False)
@@ -90,8 +90,7 @@ class JointProbMatrix:
 
 def maximally_entangled(d: int) -> DensityOperator:
     """|Psi><Psi| with |Psi> = (1/sqrt(d)) sum_i |i>|i>."""
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
+    check_range("dimension", d, 2, error=DimensionError)
     psi = np.zeros(d * d, dtype=np.complex128)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
     return DensityOperator(np.outer(psi, psi.conj()), dim=d)
@@ -99,8 +98,7 @@ def maximally_entangled(d: int) -> DensityOperator:
 
 def isotropic_state(d: int, v: float) -> DensityOperator:
     """Mix the maximally entangled state with white noise at visibility v."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    check_range("visibility", v, 0, 1, error=ValueError)
     ent = maximally_entangled(d).matrix
     noise = np.eye(d * d, dtype=np.complex128) / (d * d)
     return DensityOperator(v * ent + (1.0 - v) * noise, dim=d)
@@ -133,9 +131,6 @@ def visibility_for_qber(d: int, q: float) -> float:
     Inverts q = (1 - v)(d - 1)/d; q must not exceed the fully mixed
     ceiling (d - 1)/d.
     """
-    if d < 2:
-        raise DimensionError(f"dimension must be at least 2, got {d}")
-    ceiling = (d - 1) / d
-    if not 0.0 <= q <= ceiling:
-        raise ValueError(f"error rate {q} outside [0, {ceiling:.6f}] for d={d}")
+    check_range("dimension", d, 2, error=DimensionError)
+    check_range(f"error rate for d={d}", q, 0, (d - 1) / d, error=ValueError)
     return 1.0 - q * d / (d - 1)

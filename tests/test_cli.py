@@ -16,7 +16,7 @@ from mubqkd import ProtocolConfig, cli, mub_set, run_eb_session, run_pm_session
 from mubqkd.bases import load_bases
 from mubqkd.counts import CSV_HEADER, load_counts
 from mubqkd.errors import NumericError
-from mubqkd.photonics import EfficiencyTable, save_efficiency_table
+from mubqkd.photonics import EFFICIENCY_SLACK, EfficiencyTable, save_efficiency_table
 from mubqkd.protocol import CHUNK_ROUNDS
 
 
@@ -441,7 +441,7 @@ def test_simulate_negative_rounds_names_the_round_count(tmp_path, capsys, mode):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "error: round count must be positive, got -5\n"
+    assert err == "error: round count must lie in [1, inf), got -5\n"
     assert not out.exists()
 
 
@@ -619,6 +619,36 @@ def test_eta_file_duplicate_index_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["1 inf 0.5", "1 0.5 -inf", "1 1e400 0.5"])
+def test_eta_file_infinite_efficiency_is_out_of_range(tmp_path, capsys, row):
+    # Only NaN means "no data"; an infinite efficiency is a bad value, not a gap.
+    eta, out = tmp_path / "eta.txt", tmp_path / "c.csv"
+    rows = [row] + [f"{i} 0.5 0.5" for i in range(2, 7)]
+    eta.write_text("dim 2\nindex eta_a eta_b\n" + "\n".join(rows) + "\n")
+    code = run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1",
+        "--eta-file", str(eta), "--out", str(out),
+    )
+    assert code == 1
+    arm = "eta_b" if "-inf" in row else "eta_a"
+    assert capsys.readouterr().err == f"error: {arm} holds an efficiency outside (0, 1]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, text", [("rounds", "abc"), ("visibility", "0,9"), ("exact", "maybe")]
+)
+def test_config_value_that_fails_to_convert_names_its_key(tmp_path, capsys, key, text):
+    out, conf = tmp_path / "c.csv", tmp_path / "run.conf"
+    conf.write_text(f"{key} = {text}\n")
+    flags = {"mode": "pm", "dim": "2", "rounds": "100", "seed": "1", "out": str(out)}
+    flags.pop(key, None)  # a flag would win over the config value
+    argv = [arg for k, v in flags.items() for arg in (f"--{k}", v)]
+    assert run_cli("simulate", *argv, "--config", str(conf)) == 1
+    assert capsys.readouterr().err == f"error: config key {key!r}: bad value {text!r}\n"
+    assert not out.exists()
+
+
 # Valid runs of the commands that take numbers; each case below breaks one value.
 _FINITE_ARGS = {
     "simulate": ["--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1"],
@@ -744,24 +774,143 @@ def _malformed_counts(draw, command):
     return "\n".join(lines) + "\n", draw(st.sampled_from([[], ["--dim", "2"]]))
 
 
-@pytest.mark.parametrize("command", ["analyze", "efficiency"])
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_malformed_counts_fail_closed(command, data):
-    text, dim_args = data.draw(_malformed_counts(command))
-    outputs = {"analyze": ["--out-report", "r.txt", "--out-csv", "r.csv"],
-               "efficiency": ["--out", "eta.txt"]}  # fmt: skip
+def _assert_fails_closed(files, argv):
+    """Run the CLI in a fresh directory that holds files; it must fail cleanly.
+
+    "{tmp}" in argv and in the file texts stands for that directory.  The
+    run must exit 1 or 2 with exactly one error line, print nothing on
+    stdout, and leave no output or temp file beside its inputs.
+    """
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        counts = os.path.join(tmp, "counts.csv")
-        with open(counts, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out_args = [a if a.startswith("--") else os.path.join(tmp, a) for a in outputs[command]]
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text.replace("{tmp}", tmp))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli(command, "--counts", counts, *dim_args, *out_args)
-        assert os.listdir(tmp) == ["counts.csv"]
+            code = run_cli(*(arg.replace("{tmp}", tmp) for arg in argv))
+        assert sorted(os.listdir(tmp)) == sorted(files)
     assert code in (1, 2)
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith(("error: ", "numeric failure: "))
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["analyze", "efficiency"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_counts_fail_closed(command, data):
+    text, dim_args = data.draw(_malformed_counts(command))
+    outputs = {"analyze": ["--out-report", "{tmp}/r.txt", "--out-csv", "{tmp}/r.csv"],
+               "efficiency": ["--out", "{tmp}/eta.txt"]}  # fmt: skip
+    argv = [command, "--counts", "{tmp}/counts.csv", *dim_args, *outputs[command]]
+    _assert_fails_closed({"counts.csv": text}, argv)
+
+
+# A valid d = 2 efficiency table, one "index eta_a eta_b" row per setting,
+# and a simulate run that reads it and writes counts and a log.
+_ETA_ROWS = [[str(i), "0.5", "0.25"] for i in range(1, 7)]
+_ETA_RUN = ["simulate", "--dim", "2", "--rounds", "1000", "--seed", "1", "--eta-file",
+            "{tmp}/eta.txt", "--out", "{tmp}/c.csv", "--log", "{tmp}/r.log"]  # fmt: skip
+
+
+def _eta_text(dim_line, rows):
+    return "\n".join([dim_line, "index eta_a eta_b"] + [" ".join(row) for row in rows]) + "\n"
+
+
+@st.composite
+def _malformed_eta_file(draw):
+    """The d = 2 table with one defect that every simulate run must reject."""
+    dim_line, rows = "dim 2", [list(row) for row in _ETA_ROWS]
+    kind = draw(st.sampled_from(["dim", "fields", "index", "value", "duplicate", "missing"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "dim":
+        dim_line = draw(st.sampled_from(
+            ["", "dim", "dim x", "dim 2.0", "dims 2", "2", "dim 1", "dim 3", "dim 11", "dim 99999"]
+        ))  # fmt: skip
+    elif kind == "fields":
+        n = draw(st.integers(1, 6).filter(lambda n: n != 3))
+        rows[i] = (rows[i] + ["0.5"] * 6)[:n]
+    elif kind == "index":  # out of range, not an integer, or another row's index
+        rows[i][0] = draw(
+            st.integers(-10, 10**30).map(str).filter(lambda t: t != rows[i][0])
+            | st.sampled_from(["x", "1.5", "1e0", "0x1", "index"])
+        )
+    elif kind == "value":  # NaN means "no data", which leaves the table incomplete
+        bad = st.floats().filter(lambda x: not 0 < x <= 1 + EFFICIENCY_SLACK).map(repr)
+        rows[i][draw(st.integers(1, 2))] = draw(bad | st.sampled_from(
+            ["x", "0x1", "1,5", "inf", "+inf", "-inf", "Infinity", "1e400", "NaN", "-nan"]
+        ))  # fmt: skip
+    elif kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    else:
+        drop = draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+        rows = [row for j, row in enumerate(rows) if j not in drop]
+    return _eta_text(dim_line, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_malformed_eta_file(), mode=st.sampled_from(["eb", "pm"]))
+def test_malformed_eta_file_fails_closed(text, mode):
+    _assert_fails_closed({"eta.txt": text}, [*_ETA_RUN, "--mode", mode])
+
+
+# A valid simulate config, and per key values that no run may accept: out of
+# range, non-finite, or not of the key's type.
+_CONFIG_BASE = {"mode": "eb", "dim": "2", "rounds": "1000", "seed": "1",
+                "out": "{tmp}/c.csv", "log": "{tmp}/r.log"}  # fmt: skip
+_BAD_CONFIG_VALUES = {
+    "mode": ["xx", "EB", ""],
+    "dim": ["1", "0", "-3", "6", "11", "1000000000", "2.0", "x", ""],
+    "rounds": ["0", "-5", "1.5", "1e3", "nan", ""],
+    "seed": ["-1", str(2**64), "1.0", "x"],
+    "visibility": ["nan", "inf", "-inf", "-0.1", "1.5", "x", ""],
+    "target_qber": ["nan", "inf", "-inf", "-0.1", "0.6", "x"],
+    "bias": ["nan", "inf", "0", "1", "1.5", "0.5,0.5", "0.5,nan,0.5", "-1,1,1", "0.5,0.5,0.5", "x"],
+    "flip_prob": ["nan", "inf", "-inf", "1", "-0.1", "x"],
+    "alpha_sq": ["nan", "inf", "-inf", "0", "-1", "1", "x"],
+    "chi": ["nan", "inf", "-inf", "0", "-1", "1", "x"],
+    "eta_file": ["{tmp}/missing.txt", "{tmp}"],
+    "workers": ["0", "-2", "1.5", "x"],
+    "exact": ["maybe", "2"],
+    "out": ["{tmp}/missing/c.csv"],
+}
+_SYNTAX_DEFECTS = ["rounds 1000", "= 3", " = ", "colour = red", "seed = 2"]  # the base sets seed
+
+
+@st.composite
+def _malformed_config(draw):
+    """The simulate config with one bad value or one malformed line."""
+    values = dict(_CONFIG_BASE, mode=draw(st.sampled_from(["eb", "pm"])))
+    extra = []
+    key = draw(st.sampled_from([*_BAD_CONFIG_VALUES, "syntax"]))
+    if key == "syntax":
+        extra.append(draw(st.sampled_from(_SYNTAX_DEFECTS)))
+    else:
+        values[key] = draw(st.sampled_from(_BAD_CONFIG_VALUES[key]))
+    lines = [f"{k} = {v}" for k, v in values.items()] + extra
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_malformed_config())
+def test_malformed_config_fails_closed(text):
+    _assert_fails_closed({"run.conf": text}, ["simulate", "--config", "{tmp}/run.conf"])
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_fuzz_base_inputs_are_valid(mode):
+    # Each fuzz case above breaks one thing; unbroken, its inputs must run.
+    with tempfile.TemporaryDirectory() as tmp:
+        eta = os.path.join(tmp, "eta.txt")
+        with open(eta, "w", encoding="utf-8") as fh:
+            fh.write(_eta_text("dim 2", _ETA_ROWS))
+        argv = [a.replace("{tmp}", tmp) for a in [*_ETA_RUN, "--mode", mode]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(*argv) == 0
+        conf = os.path.join(tmp, "run.conf")
+        with open(conf, "w", encoding="utf-8") as fh:
+            for k, v in dict(_CONFIG_BASE, mode=mode).items():
+                fh.write(f"{k} = {v.replace('{tmp}', tmp)}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("simulate", "--config", conf) == 0

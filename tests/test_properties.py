@@ -1,18 +1,38 @@
-"""Property-based invariants over randomly drawn inputs."""
+"""Property-based invariants over randomly drawn inputs, and the range rule of every bound."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubqkd.bases import mub_set
+from mubqkd.bases import Ket, eigenbasis_xzl, load_bases, mub_set, save_bases
+from mubqkd.errors import ConfigError, check_range
+from mubqkd.photonics import SourceParams
+from mubqkd.protocol import (
+    SIFT_DTYPE,
+    ProtocolConfig,
+    SiftedData,
+    _run_chunked,
+    default_basis_bias,
+    estimate_parameters,
+)
 from mubqkd.security import (
     isotropic_joint_distribution,
     key_rate,
     mutual_information,
+    q_max,
     shannon_entropy,
 )
-from mubqkd.states import visibility_for_qber
+from mubqkd.states import (
+    DensityOperator,
+    JointProbMatrix,
+    isotropic_state,
+    maximally_entangled,
+    visibility_for_qber,
+)
 
 DIMS = st.sampled_from((2, 3, 4, 5))
 
@@ -86,3 +106,92 @@ def test_random_unit_vector_unbiased_overlap_sum(d, seed):
         mat = np.column_stack([k.amplitudes for k in basis.vectors])
         weights = np.abs(mat.conj().T @ psi) ** 2
         assert abs(weights.sum() - 1) < 1e-10
+
+
+NAN = float("nan")
+_PM = {"dim": 2, "mode": "pm", "rounds": 10, "seed": 1}
+
+
+def _config(**changes):
+    return ProtocolConfig(**{**_PM, **changes})
+
+
+def _bases_file_with_nan(tmp_path):
+    """A saved d = 2 set with the first amplitude of its first vector set to nan."""
+    path = tmp_path / "bases.txt"
+    save_bases(mub_set(2), path)
+    lines = path.read_text().splitlines()
+    lines[2] = "nan,0" + lines[2][lines[2].index(" "):]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _state_with_nan():
+    """The maximally mixed d = 2 state with one NaN above the diagonal.
+
+    eigvalsh reads the lower triangle only, so no eigenvalue shows it.
+    """
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = NAN
+    return m
+
+
+# One NaN per range-checked input: each must raise a ValueError subclass,
+# not pass through to a number, an eigensolver error or a session.
+_NAN_CASES = {
+    "default_basis_bias": lambda tmp: default_basis_bias(3, NAN),
+    "ProtocolConfig.dim": lambda tmp: _config(dim=NAN),
+    "ProtocolConfig.rounds": lambda tmp: _config(rounds=NAN),
+    "ProtocolConfig.seed": lambda tmp: _config(seed=NAN),
+    "ProtocolConfig.visibility": lambda tmp: _config(visibility=NAN),
+    "ProtocolConfig.flip_prob": lambda tmp: _config(flip_prob=NAN),
+    "estimate_parameters.fraction": lambda tmp: estimate_parameters(
+        SiftedData(2, np.zeros(4, dtype=SIFT_DTYPE), "0000", "0000"), NAN, np.random.default_rng(0)
+    ),
+    "_run_chunked.workers": lambda tmp: _run_chunked(
+        _config(), mub_set(2), NAN, False, lambda rows: None
+    ),
+    "SourceParams.pulses": lambda tmp: SourceParams(pulses=NAN, alpha_sq=0.1, chi=0.5),
+    "SourceParams.alpha_sq": lambda tmp: SourceParams(pulses=10, alpha_sq=NAN, chi=0.5),
+    "SourceParams.chi": lambda tmp: SourceParams(pulses=10, alpha_sq=0.1, chi=NAN),
+    "isotropic_joint_distribution.d": lambda tmp: isotropic_joint_distribution(NAN, 0.1),
+    "isotropic_joint_distribution.q": lambda tmp: isotropic_joint_distribution(3, NAN),
+    "key_rate.d": lambda tmp: key_rate(NAN, 0.1),
+    "key_rate.q": lambda tmp: key_rate(3, NAN),
+    "q_max.d": lambda tmp: q_max(NAN),
+    "q_max.tol": lambda tmp: q_max(3, NAN),
+    "maximally_entangled": lambda tmp: maximally_entangled(NAN),
+    "isotropic_state": lambda tmp: isotropic_state(3, NAN),
+    "visibility_for_qber.d": lambda tmp: visibility_for_qber(NAN, 0.1),
+    "visibility_for_qber.q": lambda tmp: visibility_for_qber(3, NAN),
+    "eigenbasis_xzl.l": lambda tmp: eigenbasis_xzl(3, NAN),
+    "Ket": lambda tmp: Ket(np.array([NAN, 1.0])),
+    "DensityOperator": lambda tmp: DensityOperator(_state_with_nan(), dim=2),
+    "JointProbMatrix": lambda tmp: JointProbMatrix(
+        dim=2, probs=np.full((3, 2, 3, 2), NAN), block_available=np.ones((3, 3), dtype=bool)
+    ),
+    "load_bases": lambda tmp: load_bases(_bases_file_with_nan(tmp)),
+}
+
+
+@pytest.mark.parametrize("call", _NAN_CASES.values(), ids=_NAN_CASES.keys())
+def test_nan_inputs_fail_closed(tmp_path, call):
+    with pytest.raises(ValueError):
+        call(tmp_path)
+
+
+_ENDPOINTS = [-math.inf, -1, 0, 0.5, 1, 2**64, math.inf]
+_VALUES = _ENDPOINTS + [-2, 0.25, 1.5, 2**64 - 1, 10**400, -(10**400), math.nan]
+
+
+@pytest.mark.parametrize("ends", ["[]", "[)", "(]", "()"])
+def test_check_range_matches_interval_oracle(ends):
+    # Only finite values inside the bracketed interval pass; NaN and +-inf never do.
+    for lo, hi, value in itertools.product(_ENDPOINTS, _ENDPOINTS, _VALUES):
+        above = lo < value if ends[0] == "(" else lo <= value
+        below = value < hi if ends[1] == ")" else value <= hi
+        if above and below and -math.inf < value < math.inf:
+            assert check_range("x", value, lo, hi, ends) is value
+        else:
+            with pytest.raises(ConfigError, match=r"^x must lie in [\[(].*, got "):
+                check_range("x", value, lo, hi, ends)

@@ -7,6 +7,7 @@ from mubqkd.bases import mub_set
 from mubqkd.protocol import pm_effective_overlaps
 from mubqkd.states import (
     DensityOperator,
+    JointProbMatrix,
     isotropic_state,
     joint_prob_matrix,
     maximally_entangled,
@@ -40,6 +41,24 @@ def test_density_operator_validation():
         DensityOperator(np.eye(4) / 2, dim=2)  # trace 2
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5, 0.0, 0.0]), dim=2)  # negative eigenvalue
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", [(0, 0), (0, 3)])
+def test_density_operator_rejects_non_finite_entries(bad, cell):
+    # eigvalsh would raise LinAlgError, which is not a ValueError.
+    m = np.eye(4, dtype=complex) / 4
+    m[cell] = bad
+    with pytest.raises(ValueError, match="not a finite Hermitian matrix"):
+        DensityOperator(m, dim=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+def test_joint_prob_matrix_rejects_non_finite_probabilities(bad):
+    probs = np.full((3, 2, 3, 2), 0.25)
+    probs[1, 0, 2, 1] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        JointProbMatrix(dim=2, probs=probs, block_available=np.ones((3, 3), dtype=bool))
 
 
 def test_isotropic_state_limits():
