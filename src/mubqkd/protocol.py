@@ -38,7 +38,6 @@ from .bases import MubSet, _gram
 from .counts import _MAX_DIM, CountMatrix, _from_flat
 from .errors import ConfigError, DimensionError, check_range
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
-from .states import isotropic_state, joint_prob_matrix
 
 CHUNK_ROUNDS = 1 << 16
 FULL_LOG_WARN_ROUNDS = 10**7
@@ -72,13 +71,6 @@ def default_basis_bias(d: int, epsilon: float = 0.1) -> tuple[float, ...]:
     return (1.0 - epsilon,) + (epsilon / d,) * d
 
 
-def _check_bias(bias, n_bases: int) -> None:
-    if len(bias) != n_bases:
-        raise ConfigError(f"basis bias needs {n_bases} weights, got {len(bias)}")
-    if not (min(bias) >= 0 and abs(sum(bias) - 1.0) <= 1e-12):  # also rejects NaN
-        raise ConfigError("basis bias weights must be nonnegative and sum to 1")
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Static description of one simulated session."""
@@ -94,7 +86,7 @@ class ProtocolConfig:
     efficiencies: EfficiencyTable | None = None
 
     def __post_init__(self):
-        check_range("dimension", self.dim, 2)
+        check_range("dimension", self.dim, 2, _MAX_DIM)
         if self.mode not in ("eb", "pm"):
             raise ConfigError(f"mode must be 'eb' or 'pm', got {self.mode!r}")
         check_range("round count", self.rounds, 1)
@@ -103,7 +95,10 @@ class ProtocolConfig:
         if bias is None:
             bias = default_basis_bias(self.dim)
         bias = tuple(float(b) for b in bias)
-        _check_bias(bias, self.dim + 1)
+        if len(bias) != self.dim + 1:
+            raise ConfigError(f"basis bias needs {self.dim + 1} weights, got {len(bias)}")
+        check_range("smallest basis bias weight", min(bias), 0)  # skips a NaN after the first
+        check_range("basis bias weight sum - 1", sum(bias) - 1.0, -1e-12, 1e-12)  # catches it
         object.__setattr__(self, "basis_bias", bias)
         check_range("visibility", self.visibility, 0, 1)
         check_range("flip probability", self.flip_prob, 0, 1, "[)")
@@ -323,17 +318,26 @@ class _RoundKernel:
         return tally, log
 
 
+def _overlaps(mubs: MubSet, v: float) -> np.ndarray:
+    """v |<e_ik|e_jm>|^2 + (1 - v) / d per vector pair, each same-basis block exactly I.
+
+    This is d times the isotropic state's joint probability at visibility v
+    (Alice conjugated), and the PM flip channel f at v = 1 - f d / (d - 1),
+    as sum_k |<e_ik|e_jm>|^2 = 1.  It assumes a checked set, as every
+    MubSet from mub_set or load_bases is.
+    """
+    ov = np.abs(_gram(mubs)) ** 2
+    ov[range(mubs.n_bases), :, range(mubs.n_bases), :] = np.eye(mubs.dim)
+    return v * ov + (1.0 - v) / mubs.dim
+
+
 def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:
     """|<filter|prep>|^2 for every setting pair, after the flip channel.
 
     With probability flip_prob the prepared state is replaced by a uniformly
     random other element of the same basis before Bob's filter.
     """
-    ov = np.abs(_gram(mubs)) ** 2
-    if flip_prob > 0.0:
-        flipped = (ov.sum(axis=1, keepdims=True) - ov) / (mubs.dim - 1)
-        ov = (1.0 - flip_prob) * ov + flip_prob * flipped
-    return ov
+    return _overlaps(mubs, 1.0 - flip_prob * mubs.dim / (mubs.dim - 1))
 
 
 def _click_table(cfg: ProtocolConfig, mubs: MubSet):
@@ -342,27 +346,26 @@ def _click_table(cfg: ProtocolConfig, mubs: MubSet):
     weights[arm] is each arm's probability per round.  table[k, arm, cell],
     cell = s_a * n_s + s_b, is the probability that A clicks (k = 0), that
     B clicks (k = 1) and that both click (k = 2) in a round of that arm.
-    EB arms are AB, AA, BB (pair_routing_probs order): on AB each side
-    clicks with eta / 2 and B passes given A with d p_joint of the isotropic
-    state; on AA and BB both photons reach one side.  PM has one arm: Alice
-    always sends, and Bob passes with the overlap after the flip channel.
+    Both modes read _overlaps at v (1 - f d / (d - 1)), visibility v and flip f.
+    EB arms are AB, AA, BB (pair_routing_probs order): on AB each side clicks
+    with eta / 2 and B passes given A with the overlap; on AA and BB both
+    photons reach one side.  PM has one arm: Alice sends, Bob passes with it.
     """
     if mubs.dim != cfg.dim:
         raise DimensionError(
             f"basis set dimension {mubs.dim} does not match config dimension {cfg.dim}"
         )
-    n_s = (cfg.dim + 1) * cfg.dim
+    d, n_s = cfg.dim, (cfg.dim + 1) * cfg.dim
     eta_a = np.asarray(cfg.efficiencies.eta_a, dtype=np.float64).reshape(n_s, 1)
     eta_b = np.asarray(cfg.efficiencies.eta_b, dtype=np.float64).reshape(n_s)
+    v = cfg.visibility * (1.0 - cfg.flip_prob * d / (d - 1))
+    both = _overlaps(mubs, v).reshape(n_s, n_s) * eta_b
     if cfg.mode == "pm":
-        both = pm_effective_overlaps(mubs, cfg.flip_prob).reshape(n_s, n_s) * eta_b
         return np.ones(1), np.stack([np.ones_like(both), both, both]).reshape(3, 1, -1)
-    rho = isotropic_state(cfg.dim, cfg.visibility)
-    cells = cfg.dim * joint_prob_matrix(rho, mubs).probs.reshape(n_s, n_s)
     table = np.zeros((3, 3, n_s, n_s))
     table[0, 0], table[0, 1] = eta_a / 2.0, eta_a
     table[1, 0], table[1, 2] = eta_b / 2.0, eta_b
-    table[2, 0] = eta_a / 2.0 * (eta_b * cells)
+    table[2, 0] = eta_a / 2.0 * both
     routing = pair_routing_probs()
     weights = cfg.source.pair_prob * np.array([routing.ab, routing.aa, routing.bb])
     return weights, table.reshape(3, 3, -1)
@@ -543,9 +546,7 @@ def estimate_parameters(
             q_by_basis.append(None)
         else:
             q_by_basis.append(float(np.mean(rows["elem_a"] != rows["elem_b"])))
-    available = [q for q in q_by_basis if q is not None]
-    if not available:
-        raise ConfigError("subsample hit no basis; increase the fraction")
+    available = [q for q in q_by_basis if q is not None]  # k >= 1, so never empty
 
     keep = np.compress(~mask, sifted.entries)
     remaining = SiftedData(

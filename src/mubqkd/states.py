@@ -1,15 +1,15 @@
 """Two-qudit state algebra and measurement probabilities.
 
-The entanglement-based protocol lives on a d x d bipartite space.  The
-source ideally emits the maximally entangled state; channel noise is
-modeled by mixing in white noise (an isotropic state with visibility v).
-Alice's filter settings are the complex conjugates of the listed basis
-vectors, which makes her outcomes correlate with Bob's in every basis of
-a complete unbiased set.
+The entanglement-based protocol lives on a d x d bipartite space: the
+maximally entangled state mixed with white noise (an isotropic state with
+visibility v).  Alice's filters are the conjugates of the basis vectors,
+so her outcomes match Bob's in every basis of a complete unbiased set.
 
 Every pair probability comes from one product: with P[a] = vec(v_a v_a^dagger)
 and R the state regrouped from (xy, uv) to (xu, yv), Alice's conjugated filter
 v_a* and Bob's filter v_b both pass with probability Re(P R P^dagger)[a, b].
+For the isotropic state that is (v |<v_a|v_b>|^2 + (1 - v) / d) / d, which
+sessions read off the Gram overlaps without a state (protocol._overlaps).
 """
 
 from __future__ import annotations

@@ -138,6 +138,23 @@ def test_simulate_target_qber_reaches_requested_error(tmp_path):
     assert abs(avg - 0.1) < 0.04
 
 
+def test_simulate_pm_target_qber_reaches_requested_error(tmp_path, capsys):
+    # The visibility acts in PM too, as white noise on the overlaps.
+    out = tmp_path / "c.csv"
+    assert run_cli(
+        "simulate", "--mode", "pm", "--dim", "3", "--rounds", "200000",
+        "--seed", "1", "--target-qber", "0.1", "--bias", "0.25,0.25,0.25,0.25",
+        "--out", str(out),
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("analyze", "--counts", str(out)) == 0
+    q = float(re.search(r"average error rate +(\S+)", capsys.readouterr().out).group(1))
+    # Q is the mean of the 4 per-basis rates, each over its same-basis coincidences.
+    same = np.einsum("iaib->i", load_counts(out).coincidences)
+    se = np.sqrt(np.sum(0.1 * 0.9 / same)) / 4
+    assert abs(q - 0.1) < 5 * se
+
+
 def test_simulate_deterministic_across_workers(tmp_path):
     args = [
         "simulate", "--mode", "eb", "--dim", "2", "--rounds", "200000",
