@@ -56,4 +56,7 @@ def check_range(name, value, lo=-math.inf, hi=math.inf, ends="[]", error=ConfigE
     if above and below and abs(value) < math.inf:
         return value
     left, right = "(" if lo == -math.inf else ends[0], ")" if hi == math.inf else ends[1]
-    raise error(f"{name} must lie in {left}{lo:.6g}, {hi:.6g}{right}, got {value}")
+    lo_text, hi_text = f"{lo:.6g}", f"{hi:.6g}"
+    if lo_text == hi_text:  # a narrow interval must not read as a point
+        lo_text, hi_text = f"{lo:.17g}", f"{hi:.17g}"
+    raise error(f"{name} must lie in {left}{lo_text}, {hi_text}{right}, got {value}")

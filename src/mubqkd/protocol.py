@@ -38,6 +38,7 @@ from .bases import MubSet, _gram
 from .counts import _MAX_DIM, CountMatrix, _from_flat
 from .errors import ConfigError, DimensionError, check_range
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
+from .security import _disagreement
 
 CHUNK_ROUNDS = 1 << 16
 FULL_LOG_WARN_ROUNDS = 10**7
@@ -98,7 +99,7 @@ class ProtocolConfig:
         if len(bias) != self.dim + 1:
             raise ConfigError(f"basis bias needs {self.dim + 1} weights, got {len(bias)}")
         check_range("smallest basis bias weight", min(bias), 0)  # skips a NaN after the first
-        check_range("basis bias weight sum - 1", sum(bias) - 1.0, -1e-12, 1e-12)  # catches it
+        check_range("basis bias weight sum", sum(bias), 1 - 1e-12, 1 + 1e-12)  # catches it
         object.__setattr__(self, "basis_bias", bias)
         check_range("visibility", self.visibility, 0, 1)
         check_range("flip probability", self.flip_prob, 0, 1, "[)")
@@ -137,15 +138,21 @@ class SessionRecord:
 
 @dataclass(frozen=True, eq=False)
 class SiftedData:
-    """Same-basis coincident rounds with both raw keys as digit strings."""
+    """Same-basis coincident rounds; both raw keys are read from their entries."""
 
     dim: int
     entries: np.ndarray
-    alice_key: str
-    bob_key: str
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def alice_key(self) -> str:
+        return _key_string(self.entries["elem_a"], self.dim)
+
+    @property
+    def bob_key(self) -> str:
+        return _key_string(self.entries["elem_b"], self.dim)
 
 
 @dataclass(frozen=True)
@@ -509,12 +516,7 @@ def sift(session: SessionRecord) -> SiftedData:
     entries["basis"] = kept["basis_a"]
     entries["elem_a"] = kept["elem_a"]
     entries["elem_b"] = kept["elem_b"]
-    return SiftedData(
-        dim=session.dim,
-        entries=entries,
-        alice_key=_key_string(entries["elem_a"], session.dim),
-        bob_key=_key_string(entries["elem_b"], session.dim),
-    )
+    return SiftedData(session.dim, entries)
 
 
 def estimate_parameters(
@@ -534,30 +536,17 @@ def estimate_parameters(
     if n == 0:
         raise ConfigError("no sifted rounds to estimate from")
     k = max(1, int(fraction * n))
-    chosen = np.sort(rng.choice(n, size=k, replace=False))
     mask = np.zeros(n, dtype=bool)
-    mask[chosen] = True
+    mask[rng.choice(n, size=k, replace=False)] = True
     sample = np.compress(mask, sifted.entries)
-
-    q_by_basis: list[float | None] = []
-    for basis in range(sifted.dim + 1):
-        rows = sample[sample["basis"] == basis]
-        if len(rows) == 0:
-            q_by_basis.append(None)
-        else:
-            q_by_basis.append(float(np.mean(rows["elem_a"] != rows["elem_b"])))
-    available = [q for q in q_by_basis if q is not None]  # k >= 1, so never empty
-
-    keep = np.compress(~mask, sifted.entries)
-    remaining = SiftedData(
-        dim=sifted.dim,
-        entries=keep,
-        alice_key=_key_string(keep["elem_a"], sifted.dim),
-        bob_key=_key_string(keep["elem_b"], sifted.dim),
-    )
+    d = sifted.dim
+    # The fields are uint8, so widen before the flat (basis, a, b) cell index.
+    cells = (sample["basis"].astype(np.intp) * d + sample["elem_a"]) * d + sample["elem_b"]
+    totals, errors = _disagreement(np.bincount(cells, minlength=(d + 1) * d * d).reshape(-1, d, d))
+    q_by_basis = tuple(None if t == 0 else float(e / t) for t, e in zip(totals, errors))
     return ParameterEstimate(
-        q_by_basis=tuple(q_by_basis),
-        q_average=float(np.mean(available)),
+        q_by_basis=q_by_basis,
+        q_average=float(np.mean([q for q in q_by_basis if q is not None])),  # k >= 1: not empty
         sampled_rounds=k,
-        remaining=remaining,
+        remaining=SiftedData(d, np.compress(~mask, sifted.entries)),
     )

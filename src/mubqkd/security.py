@@ -62,11 +62,21 @@ def isotropic_joint_distribution(d: int, q: float) -> np.ndarray:
     return np.where(np.eye(d, dtype=bool), (1.0 - q) / d, q / (d * (d - 1)))
 
 
+def _same_basis(grid: np.ndarray) -> np.ndarray:
+    """The same-basis blocks (basis, a, b) of a [basis_a, a, basis_b, b] grid."""
+    n_b = grid.shape[0]
+    return grid[range(n_b), :, range(n_b), :]
+
+
+def _disagreement(tally: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each basis's total and off-diagonal (a != b) mass of a (basis, a, b) tally."""
+    off = ~np.eye(tally.shape[1], dtype=bool)
+    return tally.sum(axis=(1, 2)), np.sum(tally, axis=(1, 2), where=off)
+
+
 def average_qber(rho: DensityOperator, mubs: MubSet) -> float:
     """Protocol-wide error rate: mean of the per-basis rates over all d+1 bases."""
-    probs = joint_prob_matrix(rho, mubs).probs
-    same = probs[range(mubs.n_bases), :, range(mubs.n_bases), :]  # (basis, a, b)
-    rates = np.sum(same, axis=(1, 2), where=~np.eye(mubs.dim, dtype=bool))
+    _, rates = _disagreement(_same_basis(joint_prob_matrix(rho, mubs).probs))
     return float(np.mean(rates))
 
 
@@ -76,28 +86,29 @@ def empirical_qber(counts: CountMatrix) -> tuple[list[float | None], float]:
     A basis without any same-basis coincidences yields None and is left out
     of the average (with a warning) rather than counted as zero.
     """
-    n_b = counts.n_bases
-    same = counts.coincidences[range(n_b), :, range(n_b), :]  # (basis, a, b)
-    totals, agreed = same.sum(axis=(1, 2)), np.trace(same, axis1=1, axis2=2)
-    # On expectation-valued blocks the trace can round a hair above the total.
-    per_basis = [None if t <= 0.0 else float(max(t - a, 0.0) / t) for t, a in zip(totals, agreed)]
-    available = [q for q in per_basis if q is not None]
-    if not available:
+    totals, errors = _disagreement(_same_basis(counts.coincidences))
+    per_basis = [None if t <= 0.0 else float(e / t) for t, e in zip(totals, errors)]
+    missing = [i for i, q in enumerate(per_basis) if q is None]
+    if len(missing) == len(per_basis):
         raise CountDataError("no same-basis coincidences in any basis")
-    if len(available) < n_b:
-        missing = [i for i, q in enumerate(per_basis) if q is None]
+    if missing:
         warnings.warn(
             f"bases {missing} have no same-basis coincidences; "
             "their error rates are unavailable and excluded from the average",
             stacklevel=2,
         )
-    return per_basis, float(np.mean(available))
+    return per_basis, float(np.mean([q for q in per_basis if q is not None]))
 
 
 def key_rate(d: int, q: float) -> float:
     """Asymptotic secret fraction of the d-dimensional protocol at error rate q."""
     check_range("dimension", d, 2, error=DimensionError)
     check_range("error rate", q, 0, error=ValueError)
+    return _rate(d, q)
+
+
+def _rate(d: int, q: float) -> float:
+    """key_rate without the range checks on d and q, which q_max makes once."""
     t = (d + 1) / d * q
     if t >= 1.0:
         raise ValueError(
@@ -112,8 +123,7 @@ def key_rate(d: int, q: float) -> float:
             # subnormal q: the quotient underflows to zero, so take the
             # logs separately (the term itself is ~t*1075, i.e. negligible)
             rate += t * (math.log2(q) - math.log2(d * (d - 1)))
-    if t < 1.0 and t > 0.0:
-        rate += (1.0 - t) * math.log2(1.0 - t)
+        rate += (1.0 - t) * math.log2(1.0 - t)  # t > 0 here, and t < 1 from the check above
     return rate
 
 
@@ -129,7 +139,7 @@ def q_max(d: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     lo, hi = 0.0, (d - 1) / d
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = key_rate(d, mid)
+        f_mid = _rate(d, mid)
         if abs(f_mid) < tol:
             return mid
         if f_mid > 0:
@@ -164,8 +174,7 @@ def _gap_tolerance(d: int, n_same: float) -> float:
 
 def joint_distribution_from_counts(counts: CountMatrix) -> np.ndarray:
     """Outcome-pair probabilities [a, b] pooled over all same-basis coincidences."""
-    n_b = counts.n_bases
-    pooled = counts.coincidences[range(n_b), :, range(n_b), :].sum(axis=0)
+    pooled = _same_basis(counts.coincidences).sum(axis=0)
     total = float(np.sum(pooled))
     if total <= 0.0:
         raise CountDataError("no same-basis coincidences to build a joint distribution")
@@ -234,8 +243,7 @@ def analyze_counts(counts: CountMatrix, tol: float = DEFAULT_ROOT_TOL) -> Securi
     """Run the full post-processing chain on one counts matrix."""
     per_basis, q_avg = empirical_qber(counts)
     joint = joint_distribution_from_counts(counts)
-    n_b = counts.n_bases
-    n_same = float(counts.coincidences[range(n_b), :, range(n_b), :].sum())
+    n_same = float(_same_basis(counts.coincidences).sum())
     h_a, h_b, h_ab = (shannon_entropy(p) for p in (joint.sum(axis=1), joint.sum(axis=0), joint))
     i_ab = h_a + h_b - h_ab
     rate = key_rate(counts.dim, q_avg)

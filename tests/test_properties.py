@@ -146,7 +146,7 @@ _NAN_CASES = {
     "ProtocolConfig.visibility": lambda tmp: _config(visibility=NAN),
     "ProtocolConfig.flip_prob": lambda tmp: _config(flip_prob=NAN),
     "estimate_parameters.fraction": lambda tmp: estimate_parameters(
-        SiftedData(2, np.zeros(4, dtype=SIFT_DTYPE), "0000", "0000"), NAN, np.random.default_rng(0)
+        SiftedData(2, np.zeros(4, dtype=SIFT_DTYPE)), NAN, np.random.default_rng(0)
     ),
     "_run_chunked.workers": lambda tmp: _run_chunked(
         _config(), mub_set(2), NAN, False, lambda rows: None
@@ -195,3 +195,14 @@ def test_check_range_matches_interval_oracle(ends):
         else:
             with pytest.raises(ConfigError, match=r"^x must lie in [\[(].*, got "):
                 check_range("x", value, lo, hi, ends)
+
+
+def test_check_range_prints_a_narrow_interval_in_full():
+    # Bounds that look alike at six digits are printed at 17, so the
+    # interval does not read as the single point 1.
+    with pytest.raises(ConfigError) as err:
+        check_range("sum", 1.2, 1 - 1e-12, 1 + 1e-12)
+    assert str(err.value) == "sum must lie in [0.99999999999900002, 1.0000000000010001], got 1.2"
+    with pytest.raises(ConfigError) as err:
+        check_range("round count", -5, 1)
+    assert str(err.value) == "round count must lie in [1, inf), got -5"

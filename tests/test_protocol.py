@@ -689,19 +689,58 @@ def test_key_strings_reject_multi_digit_symbols():
     # No config reaches d = 11, so hand-built sifted data reaches the key string check.
     with pytest.raises(ConfigError):
         ProtocolConfig(dim=11, mode="pm", rounds=10, seed=0)
-    sifted = SiftedData(dim=11, entries=np.zeros(4, dtype=SIFT_DTYPE),
-                        alice_key="0000", bob_key="0000")
+    sifted = SiftedData(dim=11, entries=np.zeros(4, dtype=SIFT_DTYPE))
     with pytest.raises(DimensionError):
-        estimate_parameters(sifted, 0.5, np.random.default_rng(0))
+        estimate_parameters(sifted, 0.5, np.random.default_rng(0)).remaining.alice_key
+
+
+def test_hand_built_sifted_data_reads_keys_from_entries():
+    entries = np.zeros(3, dtype=SIFT_DTYPE)
+    entries["elem_a"], entries["elem_b"] = [4, 0, 2], [4, 1, 3]
+    sifted = SiftedData(dim=5, entries=entries)
+    assert (sifted.alice_key, sifted.bob_key) == ("402", "413")
+    assert sifted.alice_key == _oracle_key(entries["elem_a"])
 
 
 def test_estimate_parameters_samples_at_least_one_symbol():
     entries = np.zeros(1, dtype=SIFT_DTYPE)
     entries["basis"], entries["elem_a"], entries["elem_b"] = 2, 1, 0
-    sifted = SiftedData(dim=3, entries=entries, alice_key="1", bob_key="0")
+    sifted = SiftedData(dim=3, entries=entries)
     est = estimate_parameters(sifted, 0.01, np.random.default_rng(0))
     assert est.sampled_rounds == 1 and len(est.remaining) == 0
     assert est.q_by_basis == (None, None, 1.0, None) and est.q_average == 1.0
+
+
+def _oracle_q_by_basis(sifted, fraction, rng):
+    """The per-basis loop the one-bincount tally replaced."""
+    n = len(sifted)
+    chosen = np.sort(rng.choice(n, size=max(1, int(fraction * n)), replace=False))
+    mask = np.zeros(n, dtype=bool)
+    mask[chosen] = True
+    sample = np.compress(mask, sifted.entries)
+    q_by_basis = []
+    for basis in range(sifted.dim + 1):
+        rows = sample[sample["basis"] == basis]
+        if len(rows) == 0:
+            q_by_basis.append(None)
+        else:
+            q_by_basis.append(float(np.mean(rows["elem_a"] != rows["elem_b"])))
+    return tuple(q_by_basis)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_estimate_matches_per_basis_loop_oracle(d):
+    # A strong basis-0 bias leaves few sampled rounds in the other bases,
+    # and a tiny fraction leaves some of them without any.
+    cfg = ProtocolConfig(dim=d, mode="pm", rounds=60_000, seed=d, flip_prob=0.2,
+                         basis_bias=default_basis_bias(d, 0.05))
+    sifted = sift(run_pm_session(cfg, mub_set(d)))
+    for fraction in (0.002, 0.1, 0.5):
+        est = estimate_parameters(sifted, fraction, np.random.default_rng(9))
+        want = _oracle_q_by_basis(sifted, fraction, np.random.default_rng(9))
+        assert est.q_by_basis == want
+        assert est.q_average == float(np.mean([q for q in want if q is not None]))
+    assert None in _oracle_q_by_basis(sifted, 0.002, np.random.default_rng(9))
 
 
 def test_estimate_parameters_splits_sample():

@@ -219,6 +219,19 @@ def test_q_max_matches_fine_grid_scan():
     assert 0.125 < q_max(2) < 0.127
 
 
+@pytest.mark.parametrize("d", range(2, 11))
+def test_q_max_equals_bisection_over_public_key_rate(d):
+    # The same bisection over the public, range-checked key_rate.
+    lo, hi = 0.0, (d - 1) / d
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = key_rate(d, mid)
+        if abs(f_mid) < 1e-10:
+            break
+        lo, hi = (mid, hi) if f_mid > 0 else (lo, mid)
+    assert q_max(d) == mid
+
+
 def test_q_max_tolerance_validation():
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError):
