@@ -37,6 +37,7 @@ from .photonics import (
     save_efficiency_table,
 )
 from .protocol import (
+    LOG_DTYPE,
     ProtocolConfig,
     _run_chunked,
     default_basis_bias,
@@ -69,30 +70,40 @@ def _atomic_write(path, writer):
 # Every field after the round is one digit: indices below 10 and 0/1 flags.
 _LOG_FIELDS = ("basis_a", "elem_a", "basis_b", "elem_b", "click_a", "click_b", "coincidence")
 _LOG_HEADER = ",".join(("round",) + _LOG_FIELDS) + "\n"
+# Byte offset of each one-digit field in a LOG_DTYPE row.
+_DIGIT_BYTES = [LOG_DTYPE.fields[name][1] for name in _LOG_FIELDS]
 
 
 def _format_log_rows(log: np.ndarray) -> bytes:
     """Render log rows as CSV bytes: the decimal round, then seven 0-9 fields.
 
-    Rows whose round numbers have the same digit count form a fixed-width
-    block, so each block is one uint8 matrix filled column by column.
+    The rows come in ascending round order, so the rows whose round numbers
+    have the same digit count form one fixed-width block.  Each block fills a
+    column-major uint8 matrix, one matrix row per output column, and leaves
+    as one transposed copy.
     """
+    if not len(log):
+        return b""
     rounds = log["round"]
-    width = np.ones(len(rounds), dtype=np.int64)
-    for k in range(1, 19):
-        width += rounds >= 10**k
-    edges = np.flatnonzero(np.diff(width)) + 1
+    first, last = (len(str(int(r))) for r in rounds[[0, -1]])
+    value = rounds.astype(np.uint32 if rounds[-1] < 2**32 else np.uint64)
+    edges = [0, *np.searchsorted(value, 10 ** np.arange(first, last, dtype=value.dtype)), len(log)]
+    raw = log.view(np.uint8).reshape(len(log), LOG_DTYPE.itemsize)
     out = []
-    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(rounds)]):
-        w = int(width[lo])
-        block = np.full((hi - lo, w + 2 * len(_LOG_FIELDS) + 1), ord(","), dtype=np.uint8)
-        value = rounds[lo:hi]
-        for k in range(w):
-            block[:, w - 1 - k] = value // 10**k % 10 + ord("0")
-        for j, name in enumerate(_LOG_FIELDS):
-            block[:, w + 1 + 2 * j] = log[name][lo:hi].astype(np.uint8) + ord("0")
-        block[:, -1] = ord("\n")
-        out.append(block.tobytes())
+    for w, lo, hi in zip(range(first, last + 1), edges, edges[1:]):
+        block = np.empty((w + 2 * len(_LOG_FIELDS) + 1, hi - lo), dtype=np.uint8)
+        block[w:-1:2] = ord(",")
+        block[-1] = ord("\n")
+        np.add(raw[lo:hi, _DIGIT_BYTES].T, ord("0"), out=block[w + 1 :: 2])
+        # One unsigned division per digit, last digit first; v is this call's own copy.
+        v, (q, r) = value[lo:hi], np.empty((2, hi - lo), value.dtype)
+        for k in range(w - 1, -1, -1):
+            np.floor_divide(v, 10, out=q)
+            np.multiply(q, 10, out=r)
+            np.subtract(v, r, out=r)
+            np.add(r, ord("0"), out=block[k], casting="unsafe")
+            v, q = q, v
+        out.append(block.T.tobytes())
     return b"".join(out)
 
 

@@ -143,6 +143,10 @@ class SiftedData:
     dim: int
     entries: np.ndarray
 
+    def __post_init__(self):
+        for name, top in (("basis", self.dim), ("elem_a", self.dim - 1), ("elem_b", self.dim - 1)):
+            check_range(f"sifted {name}", int(self.entries[name].max(initial=0)), hi=top, error=DimensionError)
+
     def __len__(self) -> int:
         return len(self.entries)
 

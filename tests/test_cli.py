@@ -17,7 +17,7 @@ from mubqkd.bases import load_bases
 from mubqkd.counts import CSV_HEADER, load_counts
 from mubqkd.errors import NumericError
 from mubqkd.photonics import EFFICIENCY_SLACK, EfficiencyTable, save_efficiency_table
-from mubqkd.protocol import CHUNK_ROUNDS
+from mubqkd.protocol import CHUNK_ROUNDS, LOG_DTYPE
 
 
 def run_cli(*argv):
@@ -290,6 +290,32 @@ def test_log_bytes_do_not_change_with_workers(tmp_path, mode):
         logs.append(log.read_bytes())
     assert logs[0].count(b"\n") == rounds + 1
     assert logs[1] == logs[0] and logs[2] == logs[0]
+
+
+# Every width from 1 to 19 digits at 10**k - 1 and 10**k, both sides of 2**32, up to 2**63 - 1.
+_WIDTH_EDGES = sorted({0, 2**32 - 1, 2**32, 2**63 - 1} | {10**k + s for k in range(1, 19) for s in (-1, 0)})
+
+
+@pytest.mark.parametrize(
+    "rounds",
+    [
+        _WIDTH_EDGES,
+        [r for r in _WIDTH_EDGES if r < 2**32],
+        # Ascending but not contiguous, as in a coincident log, across 999999/1000000.
+        np.flatnonzero(np.random.default_rng(1).random(20_000) < 0.05) + 990_000,
+        [7],
+        [2**63 - 1],
+        [],
+    ],
+    ids=["all-widths", "below-2**32", "coincident", "one-row", "widest-row", "empty"],
+)
+def test_format_log_rows_matches_row_oracle(rounds):
+    log = np.zeros(len(rounds), dtype=LOG_DTYPE)
+    log["round"] = rounds
+    rng = np.random.default_rng(2)
+    for name in cli._LOG_FIELDS:
+        log[name] = rng.integers(0, 10 if log[name].dtype == np.uint8 else 2, len(log))
+    assert cli._format_log_rows(log) == _oracle_log(log).split(b"\n", 1)[1]
 
 
 def test_failed_counts_write_leaves_no_log(tmp_path):

@@ -702,6 +702,16 @@ def test_hand_built_sifted_data_reads_keys_from_entries():
     assert sifted.alice_key == _oracle_key(entries["elem_a"])
 
 
+@pytest.mark.parametrize("name, value", [("elem_a", 3), ("elem_b", 3), ("basis", 4)])
+def test_sifted_data_rejects_out_of_range_entries(name, value):
+    entries = np.zeros(4, dtype=SIFT_DTYPE)
+    entries[name][2] = value
+    with pytest.raises(DimensionError, match=f"sifted {name}"):
+        SiftedData(dim=3, entries=entries)
+    entries[name][2] = value - 1  # the largest value in range
+    assert len(SiftedData(dim=3, entries=entries)) == 4
+
+
 def test_estimate_parameters_samples_at_least_one_symbol():
     entries = np.zeros(1, dtype=SIFT_DTYPE)
     entries["basis"], entries["elem_a"], entries["elem_b"] = 2, 1, 0
