@@ -24,6 +24,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, ParseError, check_range
+from .errors import _dim_line, _text_lines
 
 ORTHONORMALITY_TOL = 1e-12
 UNBIASEDNESS_TOL = 1e-10
@@ -270,53 +271,34 @@ def save_bases(mubs: MubSet, path) -> None:
 
 def load_bases(path) -> MubSet:
     """Parse a basis file and validate the result as a complete set."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-
-    lineno = 0
-
-    def next_line() -> tuple[int, str]:
-        nonlocal lineno
-        while lineno < len(raw):
-            lineno += 1
-            text = raw[lineno - 1].strip()
-            if text:
-                return lineno, text
-        raise ParseError("unexpected end of basis file", lineno)
-
-    n, text = next_line()
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise ParseError(f"expected 'dim <d>', got {text!r}", n)
-    try:
-        d = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad dimension {parts[1]!r}", n) from None
+    lines = list(_text_lines(path))
+    if not lines:
+        raise ParseError("unexpected end of basis file")
+    d = _dim_line(*lines[0])
     if d < 2:
-        raise ParseError(f"dimension {d} must be at least 2", n)
+        raise ParseError(f"dimension {d} must be at least 2", lines[0][0])
 
+    size = 1 + (d + 1) ** 2  # the dim line, then per basis a label line and d amplitude rows
     bases = []
-    for _ in range(d + 1):
-        n, text = next_line()
-        if not text.startswith("basis "):
-            raise ParseError(f"expected 'basis <label>', got {text!r}", n)
-        label = text[len("basis "):].strip()
-        vectors = []
-        for _ in range(d):
-            n, text = next_line()
-            tokens = text.split()
-            if len(tokens) != d:
-                raise ParseError(f"expected {d} amplitudes, got {len(tokens)}", n)
-            amps = []
-            for tok in tokens:
-                try:
-                    re_s, im_s = tok.split(",")
-                    amps.append(complex(float(re_s), float(im_s)))
-                except ValueError:
-                    raise ParseError(f"bad amplitude token {tok!r}", n) from None
-            vectors.append(Ket(np.array(amps)))
-        bases.append(Basis(label=label, vectors=tuple(vectors)))
-
-    if lineno < len(raw) and any(s.strip() for s in raw[lineno:]):
-        raise ParseError("trailing content after final basis", lineno + 1)
-    return MubSet(dim=d, bases=tuple(bases))
+    for k, (n, text) in enumerate(lines[1:size]):
+        if k % (d + 1) == 0:
+            if not text.startswith("basis "):
+                raise ParseError(f"expected 'basis <label>', got {text!r}", n)
+            bases.append((text[len("basis "):].strip(), []))
+            continue
+        tokens = text.split()
+        if len(tokens) != d:
+            raise ParseError(f"expected {d} amplitudes, got {len(tokens)}", n)
+        amps = []
+        for tok in tokens:
+            try:
+                re_s, im_s = tok.split(",")
+                amps.append(complex(float(re_s), float(im_s)))
+            except ValueError:
+                raise ParseError(f"bad amplitude token {tok!r}", n) from None
+        bases[-1][1].append(Ket(np.array(amps)))
+    if len(lines) < size:
+        raise ParseError("unexpected end of basis file")
+    if len(lines) > size:
+        raise ParseError("trailing content after final basis", lines[size][0])
+    return MubSet(dim=d, bases=tuple(Basis(label=label, vectors=vecs) for label, vecs in bases))

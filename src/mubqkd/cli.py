@@ -26,6 +26,7 @@ from .errors import (
     MubQkdError,
     NumericError,
     ParseError,
+    _text_lines,
     check_range,
 )
 from .photonics import (
@@ -109,20 +110,16 @@ def _format_log_rows(log: np.ndarray) -> bytes:
 
 def _load_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ParseError(f"expected 'key = value', got {text!r}", lineno)
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if not key:
-                raise ParseError("empty key", lineno)
-            if key in values:
-                raise ParseError(f"duplicate key {key!r}", lineno)
-            values[key] = value.strip()
+    for lineno, text in _text_lines(path):
+        if "=" not in text:
+            raise ParseError(f"expected 'key = value', got {text!r}", lineno)
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if not key:
+            raise ParseError("empty key", lineno)
+        if key in values:
+            raise ParseError(f"duplicate key {key!r}", lineno)
+        values[key] = value.strip()
     return values
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CountDataError, DimensionError, ParseError
+from .errors import CountDataError, DimensionError, ParseError, _text_lines
 from .states import JointProbMatrix
 
 CSV_HEADER = (
@@ -142,50 +142,45 @@ def load_counts(
     written by :func:`save_counts` for expectation-valued grids, turns on
     float parsing automatically.
     """
-    linenos, settings, values = [], [], []
+    linenos, settings, values, comments = [], [], [], []
     seen_settings: set[tuple[int, ...]] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                if header is None and text.lstrip("#").strip() == "exact":
-                    allow_float = True
-                continue
-            parts = next(csv.reader([text]))
-            if header is None:
-                header = tuple(p.strip() for p in parts)
-                if header != CSV_HEADER:
-                    raise ParseError(
-                        f"bad header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}",
-                        lineno,
-                    )
-                continue
-            if len(parts) != len(CSV_HEADER):
-                raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(parts)}", lineno)
-            try:
-                setting = tuple(int(p) for p in parts[:4])
-            except ValueError:
-                raise ParseError(f"non-integer setting index in {text!r}", lineno) from None
-            try:
-                row = tuple(float(p) if allow_float else float(int(p)) for p in parts[4:])
-            except ValueError:
-                kind = "numeric" if allow_float else "integer"
-                raise ParseError(f"non-{kind} count in {text!r}", lineno) from None
-            except OverflowError:
-                raise ParseError(f"count too large for a float in {text!r}", lineno) from None
-            if any(v < 0 for v in row):
-                raise ParseError(f"negative count in row {setting}", lineno)
-            if any(s < 0 for s in setting):
-                raise ParseError(f"negative setting index in row {setting}", lineno)
-            if setting in seen_settings:
-                raise ParseError(f"duplicate setting pair {setting}", lineno)
-            seen_settings.add(setting)
-            linenos.append(lineno)
-            settings.append(setting)
-            values.append(row)
+    header = None
+    for lineno, text in _text_lines(path, comments):
+        parts = next(csv.reader([text]))
+        if header is None:
+            header = tuple(p.strip() for p in parts)
+            if header != CSV_HEADER:
+                raise ParseError(
+                    f"bad header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}",
+                    lineno,
+                )
+            allow_float = allow_float or any(c.lstrip("#").strip() == "exact" for c in comments)
+            continue
+        if len(parts) != len(CSV_HEADER):
+            raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(parts)}", lineno)
+        try:
+            setting = tuple(int(p) for p in parts[:4])
+        except ValueError:
+            raise ParseError(f"non-integer setting index in {text!r}", lineno) from None
+        try:
+            row = tuple(float(p) if allow_float else float(int(p)) for p in parts[4:])
+        except ValueError:
+            kind = "numeric" if allow_float else "integer"
+            raise ParseError(f"non-{kind} count in {text!r}", lineno) from None
+        except OverflowError:
+            raise ParseError(f"count too large for a float in {text!r}", lineno) from None
+        if any(v < 0 for v in row):
+            raise ParseError(f"negative count in row {setting}", lineno)
+        if any(s < 0 for s in setting):
+            raise ParseError(f"negative setting index in row {setting}", lineno)
+        if setting in seen_settings:
+            raise ParseError(f"duplicate setting pair {setting}", lineno)
+        seen_settings.add(setting)
+        linenos.append(lineno)
+        settings.append(setting)
+        values.append(row)
     if header is None:
-        raise ParseError("counts file holds no header row", 0)
+        raise ParseError("counts file holds no header row")
 
     # int64, or float64/object when an index is too large for int64.
     index = np.array(settings).reshape(-1, 4)

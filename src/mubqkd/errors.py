@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one range check that raises them.
+"""Exception types shared across the package, and the range check and line reader that raise them.
 
 The CLI maps these onto exit codes: validation problems (bad dimensions,
 malformed files, inconsistent counts, bad configuration) exit with 1,
@@ -36,6 +36,33 @@ class ParseError(CountDataError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _text_lines(path, comments=None):
+    """Yield (line number, stripped text) for each non-blank, non-comment line of a UTF-8 file.
+
+    Line numbers count physical lines: only "\\n", "\\r" and "\\r\\n" end one.
+    Each ``#`` comment's stripped text is appended to ``comments`` when a list is given.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            text = raw.strip()
+            if text.startswith("#"):
+                if comments is not None:
+                    comments.append(text)
+            elif text:
+                yield lineno, text
+
+
+def _dim_line(lineno: int, text: str) -> int:
+    """Return d from an exact two-token 'dim <d>' line; any other shape raises ParseError."""
+    parts = text.split()
+    if len(parts) != 2 or parts[0] != "dim":
+        raise ParseError(f"expected 'dim <d>', got {text!r}", lineno)
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad dimension {parts[1]!r}", lineno) from None
 
 
 class NumericError(MubQkdError, ArithmeticError):

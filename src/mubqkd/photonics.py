@@ -22,6 +22,7 @@ import numpy as np
 
 from .counts import _MAX_DIM, CountMatrix, _from_flat
 from .errors import ConfigError, CountDataError, DimensionError, ParseError, check_range
+from .errors import _dim_line, _text_lines
 
 Setting = tuple[int, int]
 Pairing = Callable[[Setting], Setting]
@@ -246,24 +247,19 @@ def save_efficiency_table(table: EfficiencyTable, path) -> None:
 
 
 def load_efficiency_table(path) -> EfficiencyTable:
-    with open(path, encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh]
-    lines = [(i + 1, s) for i, s in enumerate(raw) if s and not s.startswith("#")]
-    if not lines or not lines[0][1].startswith("dim "):
-        raise ParseError("efficiency table must start with 'dim <d>'", 1)
-    try:
-        dim = int(lines[0][1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad dimension line in efficiency table", lines[0][0]) from None
+    lines = list(_text_lines(path))
+    if not lines:
+        raise ParseError("efficiency table must start with 'dim <d>'")
+    dim = _dim_line(*lines[0])
     if not 2 <= dim <= _MAX_DIM:
         raise ParseError(f"dimension {dim} outside the supported range 2..{_MAX_DIM}", lines[0][0])
     eta_a = np.full((dim + 1, dim), np.nan)
     eta_b = np.full((dim + 1, dim), np.nan)
     seen = set()
     for lineno, text in lines[1:]:
-        if text.startswith("index"):
-            continue
         parts = text.split()
+        if parts == ["index", "eta_a", "eta_b"]:
+            continue
         if len(parts) != 3:
             raise ParseError(f"expected 'index eta_a eta_b', got {text!r}", lineno)
         try:

@@ -273,6 +273,24 @@ def test_load_rejects_dimension_below_two(tmp_path, dim):
         load_bases(path)
 
 
+@pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+def test_load_line_numbers_count_physical_lines(tmp_path, sep):
+    # Only \n, \r and \r\n end a line; other Unicode separators are whitespace.
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{sep}dim 1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 1: dimension 1 must be at least 2$"):
+        load_bases(path)
+
+
+@pytest.mark.parametrize("text", ["", "# no data\n\n", "dim 2\nbasis Z\n1,0 0,0\n"])
+def test_load_reports_end_of_file_without_a_line(tmp_path, text):
+    path = tmp_path / "short.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match="^unexpected end of basis file$") as err:
+        load_bases(path)
+    assert err.value.line is None
+
+
 def test_load_rejects_trailing_content(tmp_path):
     mubs = mub_set(2)
     path = tmp_path / "bases.txt"

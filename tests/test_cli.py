@@ -32,6 +32,15 @@ def test_gen_bases_writes_loadable_file(tmp_path, capsys):
     assert "dimension 3" in capsys.readouterr().out
 
 
+def test_gen_bases_file_with_comment_and_blank_line_loads_the_same(tmp_path):
+    out, edited = tmp_path / "bases.txt", tmp_path / "edited.txt"
+    assert run_cli("gen-bases", "--dim", "3", "--out", str(out)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    lines = ["# from gen-bases", *lines[:3], "", *lines[3:]]
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert np.array_equal(load_bases(edited)._stack, load_bases(out)._stack)
+
+
 def test_gen_bases_rejects_unsupported_dimension(tmp_path):
     out = tmp_path / "bases.txt"
     assert run_cli("gen-bases", "--dim", "6", "--out", str(out)) == 1

@@ -133,6 +133,16 @@ def test_load_rejects_bad_header(tmp_path):
     assert "header" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["", "# exact\n\n"])
+def test_load_reports_a_missing_header_without_a_line(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_counts(path)
+    assert str(err.value) == "counts file holds no header row"
+    assert err.value.line is None
+
+
 def test_load_rejects_negative_with_line_number(tmp_path):
     path = tmp_path / "neg.csv"
     lines = [",".join(CSV_HEADER), "0,0,0,0,-5,10,1"]

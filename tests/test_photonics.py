@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mubqkd.counts import CountMatrix
-from mubqkd.errors import ConfigError, CountDataError, DimensionError
+from mubqkd.errors import ConfigError, CountDataError, DimensionError, ParseError
 from mubqkd.photonics import (
     EfficiencyTable,
     SourceParams,
@@ -188,6 +188,26 @@ def test_table_save_load_roundtrip(tmp_path):
     assert loaded.dim == 2
     assert np.allclose(loaded.eta_a, ETA_A, atol=1e-5)
     assert np.allclose(loaded.eta_b, ETA_B, atol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "efficiency table must start with 'dim <d>'"),
+        ("# eta\n\n", "efficiency table must start with 'dim <d>'"),
+        ("# eta\n\ndims 2\n", "line 3: expected 'dim <d>', got 'dims 2'"),
+        ("dim 2 junk\n", "line 1: expected 'dim <d>', got 'dim 2 junk'"),
+        ("dim 2\nindexes 0.5 0.5\n", "line 2: bad efficiency row 'indexes 0.5 0.5'"),
+        ("dim 2\nindex eta_a eta_b\nindex 9 9\n", "line 3: bad efficiency row 'index 9 9'"),
+    ],
+)
+def test_table_load_errors_name_the_physical_line(tmp_path, text, message):
+    # Only the exact column line is skipped, and an empty table has no line to name.
+    path = tmp_path / "eta.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_efficiency_table(path)
+    assert str(err.value) == message
 
 
 def test_identity_pairing():
