@@ -235,7 +235,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("exact mode is only available for prepare-and-measure runs")
     check_range("worker count", workers, 1)  # --exact never reaches the session's check
 
-    def simulate(take_rows=lambda rows: None):
+    def simulate(take_rows=None):
         if exact:
             counts = expected_count_matrix(cfg, mubs)
         else:

@@ -4,15 +4,15 @@ Each pump pulse is one protocol round.  Randomness is counter-based: the
 rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed
 by (seed, c), so chunks run on any worker and are handed on in chunk
 order, each as a new array of its logged rows (_run_chunked).  One round
-kernel serves both modes (see _RoundKernel): each candidate round takes
-one 64-bit word, which an alias table turns into its arm, setting pair
-and click pattern.  Every PM round is a candidate.  In EB the candidates
-are the rounds that create a pair, the ends of geometric gaps drawn
-first: one uniform per gap by inversion, in batches of a size fixed by
-the pair probability, until they pass the end of the whole chunk.  The
-settings of EB rounds without a pair are drawn only for the full log,
-one word each from a separate sub-stream of the chunk, so the counts are
-the same with and without it.
+kernel serves both modes (see _RoundKernel).  A chunk draws its counts
+first: the number of candidate rounds (every PM round, the EB rounds that
+create a pair), then how many of them fall in each category of arm,
+setting pair and click pattern.  Rows are built only for a consumer that
+takes them, by placing that tally on the chunk's rounds: the coincidences
+first, then, for the full log, the other candidates and the settings of
+EB rounds without a pair.  The counts and the coincident rows are drawn
+before anything that only the full log needs, so they are the same with
+and without it.
 
 Entanglement-based rounds: a photon pair appears with probability
 alpha_sq * chi and splits AB/AA/BB with probabilities (1/2, 1/4, 1/4).
@@ -40,7 +40,7 @@ from .errors import ConfigError, DimensionError, check_range
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
 from .security import _disagreement
 
-CHUNK_ROUNDS = 1 << 16
+CHUNK_ROUNDS = 1 << 16  # a round's place in its chunk fits a uint16 (see _RoundKernel._draw)
 FULL_LOG_WARN_ROUNDS = 10**7
 
 LOG_DTYPE = np.dtype(
@@ -147,6 +147,13 @@ class SiftedData:
         for name, top in (("basis", self.dim), ("elem_a", self.dim - 1), ("elem_b", self.dim - 1)):
             check_range(f"sifted {name}", int(self.entries[name].max(initial=0)), hi=top, error=DimensionError)
 
+    @classmethod
+    def _unchecked(cls, dim: int, entries: np.ndarray) -> SiftedData:
+        """Skip the range check: for entries that sift and estimate_parameters build in range."""
+        sifted = object.__new__(cls)
+        sifted.__dict__.update(dim=dim, entries=entries)
+        return sifted
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -169,10 +176,9 @@ class ParameterEstimate:
     remaining: SiftedData
 
 
-def _chunk_rng(seed: int, chunk: int, stream: int = 0) -> np.random.Generator:
-    """Philox stream of one chunk; stream 1 is a disjoint sub-stream (top counter word)."""
-    key = np.array([seed, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, stream]))
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    """Philox stream of one chunk."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
 
 class _Alias:
@@ -219,21 +225,33 @@ class _Alias:
         self.pick = np.stack([self.alias, slots], axis=1).ravel()  # [2 slot + below cut]
 
     def draw(self, words: np.ndarray) -> np.ndarray:
-        """One position per 64-bit word."""
+        """One position per 64-bit word, written over the words: one array fewer."""
         slot = (words >> self.shift).view(np.int64)
-        pick = slot << 1
-        pick += words < self.cut[slot]
-        return self.pick[pick]
+        below = words < self.cut[slot]
+        slot <<= 1
+        slot += below
+        return np.take(self.pick, slot, out=words.view(np.int64))
+
+
+def _mark(rng: np.random.Generator, taken: np.ndarray, k: int) -> None:
+    """Mark k more rounds of a chunk, a uniform subset of the unmarked ones.
+
+    Uniform rounds are drawn until k new ones are marked.  The draw favors
+    no unmarked round over another, so every k-subset is equally likely.
+    """
+    want = np.count_nonzero(taken) + k
+    while (need := want - np.count_nonzero(taken)) > 0:
+        taken[rng.integers(CHUNK_ROUNDS, size=need)] = True
 
 
 class _RoundKernel:
     """Lookup tables and the per-chunk round kernel shared by both modes.
 
-    A candidate round is one draw from ``cats``, an alias table over (arm,
+    A candidate round falls in one category of ``cats``, a table over (arm,
     cell, click pattern); pattern bit 0 is A's click and bit 1 B's.  Only
     categories of positive weight exist, so an arm that sends no photon to
-    a side never clicks there.  The EB gaps always cover the whole chunk,
-    so a round's draws do not depend on where the session ends.
+    a side never clicks there.  _draw gives a chunk's tally and, on demand,
+    its rows.
     """
 
     def __init__(self, cfg: ProtocolConfig, mubs: MubSet):
@@ -245,21 +263,24 @@ class _RoundKernel:
         pattern = np.stack([1.0 - p_a - p_b + p_ab, p_a - p_ab, p_b - p_ab, p_ab], axis=-1)
         # Routing probabilities, not per-round weights: a tiny pair
         # probability must not underflow the table.
-        pair = weights.sum()  # 1 in PM
-        routing = weights / pair
-        self.shape = pattern.shape  # (arm, cell, pattern)
-        self.cats = _Alias(routing[:, None, None] * p_cell[:, None] * pattern)
+        self.pair = weights.sum()  # 1 in PM
+        w = (weights / self.pair)[:, None, None] * p_cell[:, None] * pattern
+        self.shape = w.shape  # (arm, cell, pattern)
+        self.cats = _Alias(w)
         self.arm, cell, pat = np.unravel_index(self.cats.index, self.shape)
         self.coinc = pat == 3
-        self.log_miss = None  # every PM round is a candidate
+        # The tally: one category of rng.multinomial costs about as much as
+        # 8 alias words, so it draws the tally when the table has fewer than
+        # an eighth as many categories as a chunk's expected candidates.
+        # probs is None for alias words.
+        self.probs = None
+        if 8 * len(self.cats.index) < CHUNK_ROUNDS * self.pair:
+            self.probs = w.ravel()[self.cats.index] / w.sum()
         if cfg.mode == "eb":
-            self.log_miss = np.log1p(-pair)
-            mean = CHUNK_ROUNDS * pair
-            # One batch of gaps almost always covers a chunk.
-            self.batch = int(mean + 6.0 * np.sqrt(mean)) + 16
             # Full-log rounds without a pair: settings only, no clicks.  Their
             # rows follow the categories' rows.
             self.idle = _Alias(p_cell)
+            self.idle.pick += len(self.cats.index)  # draws give the rows after the categories'
             cell = np.concatenate([cell, self.idle.index])
             pat = np.concatenate([pat, np.zeros_like(self.idle.index)])
         # The log row of each position, round 0.
@@ -270,27 +291,86 @@ class _RoundKernel:
         self.rows["coincidence"] = pat == 3
 
     def buffer(self) -> np.ndarray:
-        """Scratch for draw; the word draw needs none, so it is empty."""
+        """Scratch for draw; the draw needs none, so it is empty."""
         return np.empty(0)
 
-    def _created(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """The chunk's first n rounds that create a pair, in order."""
-        parts, last = [], -1.0  # a first gap of g creates a pair in round g - 1
-        # An infinite gap (a subnormal pair probability) means no further pair in this chunk.
-        with np.errstate(over="ignore", divide="ignore"):
-            while last < CHUNK_ROUNDS:
-                # P(gap = g) = (1 - p)^(g - 1) p for g >= 1, by inversion.
-                gaps = np.floor(np.log1p(-rng.random(self.batch)) / self.log_miss) + 1.0
-                parts.append(np.cumsum(gaps) + last)
-                last = parts[-1][-1]
-        created = np.concatenate(parts)
-        return created[: np.searchsorted(created, n)].astype(np.intp)
+    def _among(self, tally, cat, which):
+        """The chunk's drawn categories among ``which`` (a category mask).
+
+        Alias words keep their random draw order; a multinomial tally gives
+        its categories in order.
+        """
+        if cat is not None:
+            return cat[which[cat]]
+        pos = np.flatnonzero(which)
+        return np.repeat(pos, tally[pos])
+
+    def _draw(self, chunk: int, n: int, rows):
+        """(tally, rounds, categories) of the chunk's first n rounds.
+
+        rows is None (counts only), "coincident" or "full".  One stream
+        draws, in this order: the tally, in which K ~ Binomial(CHUNK_ROUNDS,
+        pair probability) candidates (every PM round) fall in the categories
+        by one multinomial or by one alias word each; the rounds of the
+        coincident candidates, a uniform subset; those of the others, a
+        uniform subset of the rest; and for an EB full log one word per
+        round, which picks the settings of a round without a pair.  Each
+        set of rounds takes its categories in random order, so in
+        distribution every round draws its category independently.  Every
+        draw covers the whole chunk; a partial chunk keeps the rounds below
+        n and takes its tally from the candidates among them.
+        """
+        rng = _chunk_rng(self.seed, chunk)
+        n_cats = len(self.cats.index)
+        candidates = rng.binomial(CHUNK_ROUNDS, self.pair)
+        if self.probs is None:
+            cat = self.cats.draw(rng.bit_generator.random_raw(candidates))
+            tally = np.bincount(cat, minlength=n_cats)
+        else:
+            cat, tally = None, rng.multinomial(candidates, self.probs)
+        if rows is None and n == CHUNK_ROUNDS:
+            return tally, None, None
+        # choice gives distinct rounds in random order, so the coincident
+        # categories land on them in a random arrangement.  A round's place
+        # in its chunk fits 16 bits, which a stable argsort orders by radix.
+        hit_v = self._among(tally, cat, self.coinc)
+        hits = rng.choice(CHUNK_ROUNDS, len(hit_v), replace=False).astype(np.uint16)
+        order = np.argsort(hits, kind="stable")
+        hits, hit_v = hits[order].astype(np.intp), hit_v[order]
+        k = np.searchsorted(hits, n)
+        if rows == "coincident" and n == CHUNK_ROUNDS:
+            return tally, hits, hit_v
+        # The other candidates' categories, in random order, go to the free
+        # rounds in round order: to all of them in PM, a uniform subset in EB.
+        other_v = self._among(tally, cat, ~self.coinc)
+        if cat is None:
+            rng.shuffle(other_v)
+        taken = np.zeros(CHUNK_ROUNDS, dtype=bool)
+        taken[hits] = True
+        others = ~taken
+        idle_rounds = candidates < CHUNK_ROUNDS  # EB: rounds without a pair
+        if idle_rounds:
+            others = taken.copy()
+            _mark(rng, others, len(other_v))
+            others ^= taken
+        k_other = np.count_nonzero(others[:n])
+        if n < CHUNK_ROUNDS:
+            tally = np.bincount(hit_v[:k], minlength=n_cats)
+            tally += np.bincount(other_v[:k_other], minlength=n_cats)
+        if rows != "full":
+            return tally, hits[:k], hit_v[:k]
+        if idle_rounds:  # each round's word picks its settings; a candidate's row replaces it
+            every = self.idle.draw(rng.bit_generator.random_raw(n))
+        else:
+            every = np.empty(n, dtype=np.intp)
+        every[hits[:k]], every[others[:n]] = hit_v[:k], other_v[:k_other]
+        return tally, np.arange(n), every
 
     def draw(self, chunk: int, n: int, buf: np.ndarray | None = None):
         """Candidate rounds of the chunk's first n and the category position of each."""
-        rng = _chunk_rng(self.seed, chunk)
-        rows = np.arange(n) if self.log_miss is None else self._created(rng, n)
-        return rows, self.cats.draw(rng.bit_generator.random_raw(len(rows)))
+        every = self._draw(chunk, n, "full")[2]
+        rounds = np.flatnonzero(every < len(self.cats.index))  # idle rows follow the categories'
+        return rounds, every[rounds]
 
     def route(self, v: np.ndarray) -> np.ndarray:
         """Arm of each drawn category: 0 AB, 1 AA, 2 BB (pair_routing_probs order).
@@ -306,26 +386,13 @@ class _RoundKernel:
         per = per.reshape(self.shape).sum(axis=0)
         return np.stack([per[:, 1] + per[:, 3], per[:, 2] + per[:, 3], per[:, 3]])
 
-    def run(self, chunk: int, n: int, keep_full: bool):
-        """Tally one chunk: the count of each category (see fold) and its logged rows."""
-        rows, cat = self.draw(chunk, n)
-        n_cats = len(self.cats.index)
-        tally = np.bincount(cat, minlength=n_cats)
-        if not keep_full:
-            # Gathering by index is several times faster than boolean masking here.
-            hit = np.flatnonzero(self.coinc[cat])
-            rows, cat = rows[hit], cat[hit]
-        elif len(rows) < n:
-            # EB rounds without a pair: one word each from sub-stream 1 picks the settings.
-            idle = np.ones(n, dtype=bool)
-            idle[rows] = False
-            words = _chunk_rng(self.seed, chunk, stream=1).bit_generator.random_raw(n - len(rows))
-            every = np.empty(n, dtype=cat.dtype)
-            every[idle] = self.idle.draw(words) + n_cats
-            every[rows] = cat
-            rows, cat = np.arange(n), every
+    def run(self, chunk: int, n: int, rows):
+        """Tally one chunk: the count of each category (see fold) and its rows (see _draw)."""
+        tally, rounds, cat = self._draw(chunk, n, rows)
+        if rows is None:
+            return tally, None
         log = np.take(self.rows, cat, mode="clip")
-        np.add(rows, chunk * CHUNK_ROUNDS, out=log["round"])
+        np.add(rounds, chunk * CHUNK_ROUNDS, out=log["round"])
         return tally, log
 
 
@@ -386,16 +453,17 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
     """Run the session and return its counts; each chunk's logged rows go to take_rows.
 
     The rows arrive in chunk order as a new LOG_DTYPE array that take_rows
-    may keep.  Worker threads run at most 2 * workers chunks ahead: memory
-    is O(workers * chunk).
+    may keep.  With take_rows=None no rows are built.  Worker threads run
+    at most 2 * workers chunks ahead: memory is O(workers * chunk).
     """
     check_range("worker count", workers, 1)
     kernel = _RoundKernel(cfg, mubs)
     n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
     workers = min(workers, n_chunks)
+    rows = None if take_rows is None else "full" if keep_full_log else "coincident"
 
     def run(c: int):
-        return kernel.run(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS), keep_full_log)
+        return kernel.run(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS), rows)
 
     def threaded():
         # A sliding window, not one map per batch: no batch waits on its slowest chunk.
@@ -407,9 +475,10 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
                 window.extend(islice(futures, 1))
 
     totals = np.zeros(len(kernel.cats.index), dtype=np.int64)
-    for tally, rows in map(run, range(n_chunks)) if workers == 1 else threaded():
+    for tally, log in map(run, range(n_chunks)) if workers == 1 else threaded():
         totals += tally
-        take_rows(rows)
+        if take_rows is not None:
+            take_rows(log)
 
     return _from_flat(
         cfg.dim, kernel.fold(totals), metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
@@ -512,7 +581,9 @@ def _key_string(elems: np.ndarray, dim: int) -> str:
 def sift(session: SessionRecord) -> SiftedData:
     """Keep coincident rounds where both parties used the same basis."""
     log = session.log
-    mask = log["coincidence"] & (log["basis_a"] == log["basis_b"])
+    mask = log["basis_a"] == log["basis_b"]
+    if session.log_scope == "full":  # a coincident log holds coincidences only
+        mask &= log["coincidence"]
     # np.compress copies packed records several times faster than log[mask].
     kept = np.compress(mask, log)
     entries = np.empty(len(kept), dtype=SIFT_DTYPE)
@@ -520,7 +591,7 @@ def sift(session: SessionRecord) -> SiftedData:
     entries["basis"] = kept["basis_a"]
     entries["elem_a"] = kept["elem_a"]
     entries["elem_b"] = kept["elem_b"]
-    return SiftedData(session.dim, entries)
+    return SiftedData._unchecked(session.dim, entries)
 
 
 def estimate_parameters(
@@ -552,5 +623,5 @@ def estimate_parameters(
         q_by_basis=q_by_basis,
         q_average=float(np.mean([q for q in q_by_basis if q is not None])),  # k >= 1: not empty
         sampled_rounds=k,
-        remaining=SiftedData(d, np.compress(~mask, sifted.entries)),
+        remaining=SiftedData._unchecked(d, np.compress(~mask, sifted.entries)),
     )

@@ -369,8 +369,10 @@ def test_full_log_changes_neither_counts_nor_coincident_rows(mode, workers):
     mubs = mub_set(3)
     short = run(cfg, mubs, workers=workers)
     full = run(cfg, mubs, workers=workers, keep_full_log=True)
+    bare = _run_chunked(cfg, mubs, workers, False, None)  # no rows at all
     for name in ("singles_a", "singles_b", "coincidences"):
         assert np.array_equal(getattr(short.counts, name), getattr(full.counts, name))
+        assert np.array_equal(getattr(bare, name), getattr(full.counts, name))
     assert short.log_scope == "coincident" and full.log_scope == "full"
     assert np.array_equal(full.log["round"], np.arange(rounds))
     assert short.log.tobytes() == full.log[full.log["coincidence"]].tobytes()
@@ -380,9 +382,7 @@ def test_full_log_changes_neither_counts_nor_coincident_rows(mode, workers):
         assert abs(frac - 0.9) < 5 * np.sqrt(0.9 * 0.1 / rounds)
 
 
-@pytest.mark.parametrize("mode", ["eb", "pm"])
-@pytest.mark.parametrize("d", [2, 5, 7])
-def test_counts_fit_model_with_uneven_efficiencies_and_bias(d, mode):
+def _uneven_config(d, mode):
     rng = np.random.default_rng(d)
     table = EfficiencyTable(
         dim=d,
@@ -392,13 +392,16 @@ def test_counts_fit_model_with_uneven_efficiencies_and_bias(d, mode):
     weights = np.linspace(1.0, 3.0, d + 1)
     common = dict(dim=d, seed=17, efficiencies=table,
                   basis_bias=tuple(weights / weights.sum()))
-    mubs = mub_set(d)
     if mode == "eb":
-        cfg = eb_config(rounds=4_000_000, visibility=0.9, **common)
-        got = run_eb_session(cfg, mubs).counts
-    else:
-        cfg = ProtocolConfig(mode="pm", rounds=1_000_000, flip_prob=0.1, **common)
-        got = run_pm_session(cfg, mubs).counts
+        return eb_config(rounds=4_000_000, visibility=0.9, **common)
+    return ProtocolConfig(mode="pm", rounds=1_000_000, flip_prob=0.1, **common)
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+@pytest.mark.parametrize("d", [2, 5, 7])
+def test_counts_fit_model_with_uneven_efficiencies_and_bias(d, mode):
+    cfg, mubs = _uneven_config(d, mode), mub_set(d)
+    got = (run_eb_session if mode == "eb" else run_pm_session)(cfg, mubs).counts
     want = expected_count_matrix(cfg, mubs)
 
     # Cells: singles per own setting, and coincidences per basis pair with
@@ -527,15 +530,13 @@ def _gap_kernel(pair_prob, seed=31):
     return _RoundKernel(eb_config(seed=seed, source=source), mub_set(2))
 
 
-@pytest.mark.parametrize("batch", [None, 1])  # 1: the gaps are topped up one by one
 @pytest.mark.parametrize("pair_prob", [1e-6, 0.05, 0.0999])
-def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, batch):
+def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob):
     kernel = _gap_kernel(pair_prob)
-    kernel.batch = batch or kernel.batch
     buf = kernel.buffer()
     assert buf.size == 0  # EB needs no draw buffer
     empty_chunks = 0
-    for chunk in range(20 if batch is None else 2):
+    for chunk in range(20):
         full_rows, full_v = kernel.draw(chunk, CHUNK_ROUNDS, buf)
         assert full_v.shape == (len(full_rows),)
         assert np.all(np.diff(full_rows) > 0)
@@ -548,16 +549,6 @@ def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, batch):
             assert np.array_equal(v, full_v[:k]) and v.shape == (k,)
     if pair_prob < 1e-3:
         assert empty_chunks > 0
-
-
-@pytest.mark.parametrize("pair_prob", [1e-6, 0.05, 0.0999])
-def test_eb_gap_top_up_matches_default_batch(pair_prob):
-    kernel = _gap_kernel(pair_prob)
-    buf = kernel.buffer()
-    default = [kernel.draw(c, CHUNK_ROUNDS, buf)[0] for c in range(2)]
-    kernel.batch = 1  # every gap past the first is a top-up
-    for c, rows in enumerate(default):
-        assert np.array_equal(kernel.draw(c, CHUNK_ROUNDS, buf)[0], rows)
 
 
 def test_eb_created_rounds_are_binomial_and_evenly_spread():
@@ -573,6 +564,63 @@ def test_eb_created_rounds_are_binomial_and_evenly_spread():
     assert abs(total - mean) < 5 * np.sqrt(mean * (1 - p))
     chi2 = ((per_bin - total / bins) ** 2 / (total / bins)).sum()
     assert chi2 < 50  # 15 degrees of freedom: exceeded with probability 1.2e-5
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_full_log_rows_are_evenly_spread(mode):
+    # The rows arrange a drawn tally: coincidences must spread evenly over the
+    # chunk, and no category may depend on the round, coincident or not.
+    if mode == "eb":  # d = 2: a multinomial tally and few coincidences per chunk
+        cfg, n_chunks = eb_config(dim=2, seed=78, visibility=0.9), 40
+    else:  # a third of the rounds coincide
+        cfg, n_chunks = ProtocolConfig(dim=3, mode="pm", rounds=10, seed=78, flip_prob=0.3), 6
+    kernel, bins = _RoundKernel(cfg, mub_set(cfg.dim)), 16
+    assert kernel.probs is not None
+    at = np.arange(CHUNK_ROUNDS) // (CHUNK_ROUNDS // bins)
+    coinc, errors, basis0 = np.zeros(bins), np.zeros(bins), np.zeros(bins)
+    for c in range(n_chunks):
+        _, log = kernel.run(c, CHUNK_ROUNDS, "full")
+        hit = log["coincidence"]
+        wrong = hit & (log["basis_a"] == log["basis_b"]) & (log["elem_a"] != log["elem_b"])
+        coinc += np.bincount(at, weights=hit, minlength=bins)
+        errors += np.bincount(at, weights=wrong, minlength=bins)
+        basis0 += np.bincount(at, weights=log["basis_a"] == 0, minlength=bins)
+
+    def chi2(got, trials):
+        # Binomial counts per bin against their pooled rate.
+        p = got.sum() / trials.sum()
+        want = trials * p
+        return ((got - want) ** 2 / (want * (1 - p))).sum()
+
+    # 15 degrees of freedom each: a limit of 50 is exceeded with probability 1.2e-5.
+    rows = np.full(bins, n_chunks * CHUNK_ROUNDS / bins)
+    assert chi2(coinc, rows) < 50
+    assert chi2(errors, coinc) < 50
+    assert chi2(basis0, rows) < 50
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_sift_reads_the_same_entries_from_either_log(mode):
+    rounds = 3 * CHUNK_ROUNDS + 7
+    if mode == "eb":
+        cfg, run = eb_config(dim=3, rounds=rounds, seed=63, visibility=0.9), run_eb_session
+    else:
+        cfg = ProtocolConfig(dim=3, mode="pm", rounds=rounds, seed=63, flip_prob=0.05)
+        run = run_pm_session
+    mubs = mub_set(3)
+    short = sift(run(cfg, mubs))
+    full = sift(run(cfg, mubs, keep_full_log=True))
+    assert len(short) > 0
+    assert short.entries.tobytes() == full.entries.tobytes()
+
+
+@pytest.mark.parametrize("mode, d, multinomial", [
+    ("eb", 2, True), ("eb", 5, False), ("eb", 7, False), ("pm", 2, True), ("pm", 7, True)])
+def test_fit_test_covers_both_tally_methods(mode, d, multinomial):
+    # A multinomial tally when the table has fewer than an eighth as many
+    # categories as a chunk's expected candidates, else alias words.
+    kernel = _RoundKernel(_uneven_config(d, mode), mub_set(d))
+    assert (kernel.probs is not None) == multinomial
 
 
 def test_one_arm_routing_never_produces_coincidences():

@@ -347,7 +347,7 @@ def test_noiseless_sampled_runs_raise_no_gap_warning(mode, rounds, d):
     source = SourceParams(pulses=rounds, alpha_sq=0.1, chi=0.5) if mode == "eb" else None
     for seed in range(20):
         cfg = ProtocolConfig(dim=d, mode=mode, rounds=rounds, seed=seed, source=source)
-        report = analyze_counts(_run_chunked(cfg, mubs, 1, False, lambda rows: None))
+        report = analyze_counts(_run_chunked(cfg, mubs, 1, False, None))
         assert report.qber == 0.0
         assert not report.gap_suspect
         assert "warning" not in report.to_text()
