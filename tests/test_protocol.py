@@ -530,9 +530,10 @@ def _gap_kernel(pair_prob, seed=31):
     return _RoundKernel(eb_config(seed=seed, source=source), mub_set(2))
 
 
+@pytest.mark.parametrize("seed", [None, 1])  # None: the helper's default seed
 @pytest.mark.parametrize("pair_prob", [1e-6, 0.05, 0.0999])
-def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob):
-    kernel = _gap_kernel(pair_prob)
+def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, seed):
+    kernel = _gap_kernel(pair_prob, seed=31 if seed is None else seed)
     buf = kernel.buffer()
     assert buf.size == 0  # EB needs no draw buffer
     empty_chunks = 0
