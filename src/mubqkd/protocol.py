@@ -25,6 +25,7 @@ but never a coincidence.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -176,9 +177,24 @@ class ParameterEstimate:
     remaining: SiftedData
 
 
+_thread = threading.local()
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    """Philox stream of one chunk."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+    """Philox stream of one chunk, on this thread's generator, valid until its next call.
+
+    A Philox stream is its key: reset to key (seed, chunk), counter 0 and
+    no buffered words, the generator draws what a new Philox(key=[seed,
+    chunk]) would, without the unused SeedSequence a new one builds.
+    """
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, chunk)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 class _Alias:
@@ -234,14 +250,16 @@ class _Alias:
 
 
 def _mark(rng: np.random.Generator, taken: np.ndarray, k: int) -> None:
-    """Mark k more rounds of a chunk, a uniform subset of the unmarked ones.
+    """Mark k more entries of a bool array, a uniform subset of the unmarked ones.
 
-    Uniform rounds are drawn until k new ones are marked.  The draw favors
-    no unmarked round over another, so every k-subset is equally likely.
+    Uniform positions are drawn until k new ones are marked.  The draw
+    favors no unmarked entry over another, so every k-subset is equally
+    likely.  Marking k of n takes about n ln(n / (n - k)) draws and no
+    index array of n.
     """
     want = np.count_nonzero(taken) + k
     while (need := want - np.count_nonzero(taken)) > 0:
-        taken[rng.integers(CHUNK_ROUNDS, size=need)] = True
+        taken[rng.integers(len(taken), size=need)] = True
 
 
 class _RoundKernel:
@@ -331,12 +349,17 @@ class _RoundKernel:
         if rows is None and n == CHUNK_ROUNDS:
             return tally, None, None
         # choice gives distinct rounds in random order, so the coincident
-        # categories land on them in a random arrangement.  A round's place
-        # in its chunk fits 16 bits, which a stable argsort orders by radix.
+        # categories land on them in a random arrangement.  Each round
+        # carries its category in its low 32 bits, so one sort of the packed
+        # words puts both in round order.
         hit_v = self._among(tally, cat, self.coinc)
-        hits = rng.choice(CHUNK_ROUNDS, len(hit_v), replace=False).astype(np.uint16)
-        order = np.argsort(hits, kind="stable")
-        hits, hit_v = hits[order].astype(np.intp), hit_v[order]
+        key = rng.choice(CHUNK_ROUNDS, len(hit_v), replace=False)
+        key <<= 32
+        key |= hit_v
+        key.sort()
+        hits = key >> 32
+        hit_v = key  # in place: one array fewer
+        hit_v &= 0xFFFFFFFF
         k = np.searchsorted(hits, n)
         if rows == "coincident" and n == CHUNK_ROUNDS:
             return tally, hits, hit_v
@@ -575,7 +598,7 @@ def _key_string(elems: np.ndarray, dim: int) -> str:
         raise DimensionError(
             f"key strings hold one decimal digit per symbol; d={dim} needs more"
         )
-    return (elems + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return (elems + ord("0")).tobytes().decode("ascii")  # uint8 + 48 stays uint8
 
 
 def sift(session: SessionRecord) -> SiftedData:
@@ -612,7 +635,10 @@ def estimate_parameters(
         raise ConfigError("no sifted rounds to estimate from")
     k = max(1, int(fraction * n))
     mask = np.zeros(n, dtype=bool)
-    mask[rng.choice(n, size=k, replace=False)] = True
+    kept = 2 * k > n  # mark the smaller side: the draw then stays short
+    _mark(rng, mask, n - k if kept else k)
+    if kept:
+        np.logical_not(mask, out=mask)
     sample = np.compress(mask, sifted.entries)
     d = sifted.dim
     # The fields are uint8, so widen before the flat (basis, a, b) cell index.

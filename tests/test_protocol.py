@@ -17,7 +17,9 @@ from mubqkd.protocol import (
     SiftedData,
     _Alias,
     _RoundKernel,
+    _chunk_rng,
     _click_table,
+    _mark,
     _run_chunked,
     default_basis_bias,
     estimate_parameters,
@@ -335,6 +337,45 @@ def test_threaded_stream_under_frequent_thread_switches():
     assert not worker.is_alive()
     assert got[0].log.tobytes() == want.log.tobytes()
     assert np.array_equal(got[0].counts.coincidences, want.counts.coincidences)
+
+
+def _every_draw(rng):
+    """Each kind of draw the round kernel and the estimate make, in one sequence."""
+    return [
+        rng.binomial(CHUNK_ROUNDS, 0.05),
+        rng.multinomial(3000, [0.2, 0.3, 0.5]),
+        rng.bit_generator.random_raw(5),
+        rng.choice(CHUNK_ROUNDS, 1000, replace=False),  # Floyd's: k <= N / 50
+        rng.choice(CHUNK_ROUNDS, 3000, replace=False),  # a tail shuffle of arange(N)
+        rng.integers(CHUNK_ROUNDS, size=7),
+        rng.integers(CHUNK_ROUNDS, size=5, dtype=np.uint16),
+        rng.integers(CHUNK_ROUNDS, size=5, dtype=np.uint32),
+    ]
+
+
+def _reused_streams_match_fresh_ones():
+    for seed, chunk in ((0, 0), (7, 3), (2**64 - 1, 122)):
+        left = _chunk_rng(1, 1)
+        left.integers(10, size=3, dtype=np.uint32)  # an odd number of 32-bit words
+        assert left.bit_generator.state["has_uint32"] == 1
+        assert left.bit_generator.state["buffer_pos"] < 4
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+        want = _every_draw(fresh)
+        got = _every_draw(_chunk_rng(seed, chunk))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    return _chunk_rng(0, 0)
+
+
+def test_chunk_rng_reuse_matches_a_fresh_philox():
+    # The thread's generator is reset on every call, so a buffered word or
+    # half-word from the last chunk must not leak into the next.
+    mine = _reused_streams_match_fresh_ones()
+    other = []
+    worker = threading.Thread(target=lambda: other.append(_reused_streams_match_fresh_ones()))
+    worker.start()
+    worker.join(timeout=60)
+    assert len(other) == 1 and other[0] is not mine  # one generator per thread
+    assert _chunk_rng(0, 0) is mine
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -724,11 +765,9 @@ def test_keys_match_per_symbol_oracle(d):
     assert sifted.bob_key == _oracle_key(sifted.entries["elem_b"])
     assert sifted.alice_key != sifted.bob_key
 
-    n = len(sifted)
-    k = max(1, int(0.1 * n))
-    chosen = np.sort(np.random.default_rng(4).choice(n, size=k, replace=False))
+    chosen = _oracle_sacrificed(len(sifted), 0.1, np.random.default_rng(4))
     est = estimate_parameters(sifted, 0.1, np.random.default_rng(4))
-    kept = np.delete(sifted.entries, chosen)
+    kept = np.delete(sifted.entries, np.flatnonzero(chosen))
     assert est.remaining.entries.tobytes() == kept.tobytes()
     assert est.remaining.alice_key == _oracle_key(kept["elem_a"])
     assert est.remaining.bob_key == _oracle_key(kept["elem_b"])
@@ -770,13 +809,26 @@ def test_estimate_parameters_samples_at_least_one_symbol():
     assert est.q_by_basis == (None, None, 1.0, None) and est.q_average == 1.0
 
 
+def _oracle_sacrificed(n, fraction, rng):
+    """Mask of the sacrificed entries, drawn one set of positions at a time.
+
+    Uniform positions are drawn until the smaller side, the k sacrificed
+    entries or the n - k kept ones, has that many distinct positions.
+    """
+    k = max(1, int(fraction * n))
+    kept = 2 * k > n
+    want = n - k if kept else k
+    marked = set()
+    while len(marked) < want:
+        marked.update(rng.integers(n, size=want - len(marked)).tolist())
+    mask = np.zeros(n, dtype=bool)
+    mask[list(marked)] = True
+    return ~mask if kept else mask
+
+
 def _oracle_q_by_basis(sifted, fraction, rng):
     """The per-basis loop the one-bincount tally replaced."""
-    n = len(sifted)
-    chosen = np.sort(rng.choice(n, size=max(1, int(fraction * n)), replace=False))
-    mask = np.zeros(n, dtype=bool)
-    mask[chosen] = True
-    sample = np.compress(mask, sifted.entries)
+    sample = np.compress(_oracle_sacrificed(len(sifted), fraction, rng), sifted.entries)
     q_by_basis = []
     for basis in range(sifted.dim + 1):
         rows = sample[sample["basis"] == basis]
@@ -794,12 +846,64 @@ def test_estimate_matches_per_basis_loop_oracle(d):
     cfg = ProtocolConfig(dim=d, mode="pm", rounds=60_000, seed=d, flip_prob=0.2,
                          basis_bias=default_basis_bias(d, 0.05))
     sifted = sift(run_pm_session(cfg, mub_set(d)))
-    for fraction in (0.002, 0.1, 0.5):
+    for fraction in (0.002, 0.1, 0.5, 0.9):
         est = estimate_parameters(sifted, fraction, np.random.default_rng(9))
         want = _oracle_q_by_basis(sifted, fraction, np.random.default_rng(9))
         assert est.q_by_basis == want
         assert est.q_average == float(np.mean([q for q in want if q is not None]))
     assert None in _oracle_q_by_basis(sifted, 0.002, np.random.default_rng(9))
+
+
+def _inclusion_chi2(counts, trials, k):
+    """Pearson's statistic of per-position inclusion counts of uniform k-subsets."""
+    p = k / len(counts)
+    return (((counts - trials * p) ** 2) / (trials * p * (1 - p))).sum()
+
+
+def test_mark_draws_uniform_subsets_of_the_unmarked():
+    # 40 of 200 entries start marked; each draw marks 48 of the other 160.
+    # The statistic is about 160/159 chi-square with 159 degrees of freedom,
+    # which exceeds 249 with probability 1e-5.
+    rng, trials, pre = np.random.default_rng(31), 3000, np.arange(0, 200, 5)
+    counts = np.zeros(200, dtype=np.int64)
+    for _ in range(trials):
+        taken = np.zeros(200, dtype=bool)
+        taken[pre] = True
+        _mark(rng, taken, 48)
+        assert np.count_nonzero(taken) == 88 and taken[pre].all()
+        counts += taken
+    assert (counts[pre] == trials).all()
+    assert _inclusion_chi2(np.delete(counts, pre), trials, 48) < 249
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.8])
+def test_estimate_sample_is_a_uniform_subset(fraction):
+    # 0.8 marks the 40 kept entries and samples the rest.  199 degrees of
+    # freedom: the statistic exceeds 298 with probability 1e-5.
+    n, trials = 200, 3000
+    k = int(fraction * n)
+    entries = np.zeros(n, dtype=SIFT_DTYPE)
+    entries["round"] = np.arange(n)
+    sifted = SiftedData(dim=2, entries=entries)
+    rng = np.random.default_rng(32)
+    counts = np.full(n, trials, dtype=np.int64)
+    for _ in range(trials):
+        est = estimate_parameters(sifted, fraction, rng)
+        assert est.sampled_rounds == k and len(est.remaining) == n - k
+        counts[est.remaining.entries["round"]] -= 1
+    assert counts.sum() == trials * k
+    assert _inclusion_chi2(counts, trials, k) < 298
+
+
+def test_estimate_near_one_samples_exactly_k():
+    n = 100_003
+    entries = np.zeros(n, dtype=SIFT_DTYPE)
+    entries["round"] = np.arange(n)
+    est = estimate_parameters(SiftedData(dim=2, entries=entries), 0.99, np.random.default_rng(33))
+    k = int(0.99 * n)
+    assert est.sampled_rounds == k and len(est.remaining) == n - k
+    rounds = est.remaining.entries["round"]
+    assert (np.diff(rounds) > 0).all()  # distinct entries, in their order
 
 
 def test_estimate_parameters_splits_sample():
