@@ -44,13 +44,16 @@ from .security import _disagreement
 CHUNK_ROUNDS = 1 << 16  # a round's place in its chunk fits a uint16 (see _RoundKernel._draw)
 FULL_LOG_WARN_ROUNDS = 10**7
 
+# elem_b comes before basis_b: a row's first bytes are then a SIFT_DTYPE
+# row, which sift copies whole.  The --log CSV names its columns, so the
+# in-memory order does not reach the file.
 LOG_DTYPE = np.dtype(
     [
         ("round", np.int64),
         ("basis_a", np.uint8),
         ("elem_a", np.uint8),
-        ("basis_b", np.uint8),
         ("elem_b", np.uint8),
+        ("basis_b", np.uint8),
         ("click_a", np.bool_),
         ("click_b", np.bool_),
         ("coincidence", np.bool_),
@@ -122,9 +125,10 @@ class ProtocolConfig:
 class SessionRecord:
     """Output of one simulated session.
 
-    ``log`` holds per-round entries: every round when log_scope is
-    "full", otherwise only the coincident rounds (which is all that
-    sifting needs).
+    ``log`` holds per-round LOG_DTYPE entries: every round when log_scope
+    is "full", otherwise only the coincident rounds (which is all that
+    sifting needs).  A coincident log grew chunk by chunk in one buffer,
+    so building it held the log plus one chunk's rows.
     """
 
     config: ProtocolConfig
@@ -476,8 +480,10 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
     """Run the session and return its counts; each chunk's logged rows go to take_rows.
 
     The rows arrive in chunk order as a new LOG_DTYPE array that take_rows
-    may keep.  With take_rows=None no rows are built.  Worker threads run
-    at most 2 * workers chunks ahead: memory is O(workers * chunk).
+    may keep; the library's log copies them and the CLI's --log writes them
+    out.  With take_rows=None no rows are built.  Worker threads run at
+    most 2 * workers chunks ahead: beside what take_rows keeps, memory is
+    O(workers * chunk).
     """
     check_range("worker count", workers, 1)
     kernel = _RoundKernel(cfg, mubs)
@@ -511,8 +517,10 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
 def _session(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool):
     """Counts plus the in-memory log, the library's consumer of _run_chunked.
 
-    The coincident log keeps each chunk's rows and joins them once.  Rows
-    move as uint8 views: a copy of the packed records goes field by field.
+    A coincident log grows in one buffer, each chunk's rows appended as
+    bytes, and is wrapped once at the end: the session holds the log plus
+    one chunk's rows, never a second copy.  Rows move as bytes: a copy of
+    the packed records goes field by field.
     """
     if keep_full_log:
         if cfg.rounds >= FULL_LOG_WARN_ROUNDS:
@@ -528,14 +536,12 @@ def _session(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: boo
             log[first : first + len(rows)].view(np.uint8)[:] = rows.view(np.uint8)
 
     else:
-        # Exact-size blocks joined once: numpy asks for huge pages on large
-        # arrays, so a rounds-sized buffer would take more than the rows fill.
-        blocks = []
-        take_rows = blocks.append
+        grown = bytearray()
+        take_rows = grown.extend  # takes the rows' bytes through the buffer protocol
 
     counts = _run_chunked(cfg, mubs, workers, keep_full_log, take_rows)
     if not keep_full_log:
-        log = np.concatenate([b.view(np.uint8) for b in blocks]).view(LOG_DTYPE)
+        log = np.frombuffer(grown, dtype=LOG_DTYPE)  # writable: it shares the bytearray
     return SessionRecord(
         config=cfg,
         counts=counts,
@@ -607,13 +613,12 @@ def sift(session: SessionRecord) -> SiftedData:
     mask = log["basis_a"] == log["basis_b"]
     if session.log_scope == "full":  # a coincident log holds coincidences only
         mask &= log["coincidence"]
-    # np.compress copies packed records several times faster than log[mask].
-    kept = np.compress(mask, log)
-    entries = np.empty(len(kept), dtype=SIFT_DTYPE)
-    entries["round"] = kept["round"]
-    entries["basis"] = kept["basis_a"]
-    entries["elem_a"] = kept["elem_a"]
-    entries["elem_b"] = kept["elem_b"]
+    # A log row starts with its sift entry (round, basis_a, elem_a, elem_b).
+    # A boolean index on those bytes as one opaque item copies each kept row
+    # once; on structured rows it copies field by field, and np.compress
+    # builds an index of the kept rows.
+    head = np.dtype({"names": ["entry"], "formats": [f"V{SIFT_DTYPE.itemsize}"], "itemsize": log.itemsize})
+    entries = log.view(head)["entry"][mask].view(SIFT_DTYPE)
     return SiftedData._unchecked(session.dim, entries)
 
 
@@ -639,7 +644,10 @@ def estimate_parameters(
     _mark(rng, mask, n - k if kept else k)
     if kept:
         np.logical_not(mask, out=mask)
-    sample = np.compress(mask, sifted.entries)
+    entries = sifted.entries
+    raw = entries.view(f"V{entries.itemsize}")  # whole entries, one copy each (see sift)
+    sample = raw[mask].view(entries.dtype)
+    remaining = raw[np.logical_not(mask, out=mask)].view(entries.dtype)
     d = sifted.dim
     # The fields are uint8, so widen before the flat (basis, a, b) cell index.
     cells = (sample["basis"].astype(np.intp) * d + sample["elem_a"]) * d + sample["elem_b"]
@@ -649,5 +657,5 @@ def estimate_parameters(
         q_by_basis=q_by_basis,
         q_average=float(np.mean([q for q in q_by_basis if q is not None])),  # k >= 1: not empty
         sampled_rounds=k,
-        remaining=SiftedData._unchecked(d, np.compress(~mask, sifted.entries)),
+        remaining=SiftedData._unchecked(d, remaining),
     )

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mubqkd.errors import ConfigError, DimensionError
 from mubqkd.photonics import EfficiencyTable, SourceParams
 from mubqkd.protocol import (
     CHUNK_ROUNDS,
+    LOG_DTYPE,
     SIFT_DTYPE,
     ProtocolConfig,
     SiftedData,
@@ -742,6 +744,61 @@ def test_sift_keeps_only_same_basis_coincidences():
     # Perfect visibility and ideal detectors: keys agree exactly.
     assert sifted.alice_key == sifted.bob_key
     assert len(sifted.alice_key) == len(sifted)
+
+
+_SIFT_SOURCES = (("round", "round"), ("basis", "basis_a"), ("elem_a", "elem_a"), ("elem_b", "elem_b"))
+
+
+def test_sift_entry_is_the_head_of_a_log_row():
+    # sift copies the first SIFT_DTYPE.itemsize bytes of each kept log row.
+    assert SIFT_DTYPE.names == tuple(name for name, _ in _SIFT_SOURCES)
+    for name, source in _SIFT_SOURCES:
+        assert SIFT_DTYPE.fields[name] == LOG_DTYPE.fields[source]
+    assert SIFT_DTYPE.itemsize == sum(SIFT_DTYPE[name].itemsize for name in SIFT_DTYPE.names)
+
+
+@pytest.mark.parametrize("keep_full", [False, True])
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_sift_entries_match_a_by_name_oracle(mode, keep_full):
+    rounds = 2 * CHUNK_ROUNDS + 4321  # the last chunk is partial
+    if mode == "eb":
+        cfg, run = eb_config(dim=3, rounds=rounds, seed=64, visibility=0.9), run_eb_session
+    else:
+        cfg = ProtocolConfig(dim=3, mode="pm", rounds=rounds, seed=64, flip_prob=0.05)
+        run = run_pm_session
+    session = run(cfg, mub_set(3), keep_full_log=keep_full)
+    log = session.log
+    rows = log[log["coincidence"] & (log["basis_a"] == log["basis_b"])]
+    want = np.zeros(len(rows), dtype=SIFT_DTYPE)
+    for name, source in _SIFT_SOURCES:
+        want[name] = rows[source]
+    got = sift(session).entries
+    assert len(got) > 0 and got.dtype == SIFT_DTYPE
+    assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(fn):
+    """fn's result and the most memory traced at once while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_key_material_chain_holds_little_beside_its_outputs():
+    # Each step's peak over the size of what it returns.  A second copy of
+    # the log at the end of the session, a copy of the kept log rows in
+    # sift or an index of the remaining entries in the estimate each adds
+    # at least 0.7 of the output and breaks its bound.
+    cfg = ProtocolConfig(dim=3, mode="pm", rounds=1_000_000, seed=65, flip_prob=0.05)
+    mubs = mub_set(3)
+    session, peak = _traced_peak(lambda: run_pm_session(cfg, mubs))
+    assert peak < 1.8 * session.log.nbytes
+    sifted, peak = _traced_peak(lambda: sift(session))
+    assert peak < 1.5 * sifted.entries.nbytes
+    est, peak = _traced_peak(lambda: estimate_parameters(sifted, 0.1, np.random.default_rng(5)))
+    assert peak < 1.75 * est.remaining.entries.nbytes
 
 
 def test_sift_key_alphabet_matches_dimension():
