@@ -768,6 +768,7 @@ def test_sift_entries_match_a_by_name_oracle(mode, keep_full):
         run = run_pm_session
     session = run(cfg, mub_set(3), keep_full_log=keep_full)
     log = session.log
+    assert log.dtype == LOG_DTYPE and log.flags.writeable
     rows = log[log["coincidence"] & (log["basis_a"] == log["basis_b"])]
     want = np.zeros(len(rows), dtype=SIFT_DTYPE)
     for name, source in _SIFT_SOURCES:
