@@ -59,7 +59,6 @@ from .security import (
     analyze_counts,
     average_qber,
     empirical_qber,
-    holevo_gap,
     isotropic_joint_distribution,
     joint_distribution_from_counts,
     key_rate,

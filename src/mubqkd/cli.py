@@ -38,8 +38,10 @@ from .photonics import (
     save_efficiency_table,
 )
 from .protocol import (
+    CHUNK_ROUNDS,
     LOG_DTYPE,
     ProtocolConfig,
+    _RoundKernel,
     _run_chunked,
     default_basis_bias,
     expected_count_matrix,
@@ -75,37 +77,40 @@ _LOG_HEADER = ",".join(("round",) + _LOG_FIELDS) + "\n"
 _DIGIT_BYTES = [LOG_DTYPE.fields[name][1] for name in _LOG_FIELDS]
 
 
-def _format_log_rows(log: np.ndarray) -> bytes:
-    """Render log rows as CSV bytes: the decimal round, then seven 0-9 fields.
+def _format_log_rows(log: np.ndarray, out, scratch: np.ndarray) -> None:
+    """Write log rows to the binary file out as CSV: the decimal round, then seven 0-9 fields.
 
-    The rows come in ascending round order, so the rows whose round numbers
-    have the same digit count form one fixed-width block.  Each block fills a
-    column-major uint8 matrix, one matrix row per output column, and leaves
-    as one transposed copy.
+    The rows come in ascending round order, so rows whose round numbers have
+    the same digit count form fixed-width blocks, cut into pieces that fit the
+    (2, m) uint8 scratch.  A piece fills a column-major matrix in scratch[0],
+    one matrix row per output column, and is written from its transpose in scratch[1].
     """
     if not len(log):
-        return b""
+        return
     rounds = log["round"]
-    first, last = (len(str(int(r))) for r in rounds[[0, -1]])
-    value = rounds.astype(np.uint32 if rounds[-1] < 2**32 else np.uint64)
-    edges = [0, *np.searchsorted(value, 10 ** np.arange(first, last, dtype=value.dtype)), len(log)]
+    last = len(str(int(rounds[-1])))
+    unsigned = np.uint32 if rounds[-1] < 2**32 else np.uint64
+    widths = np.searchsorted(rounds, 10 ** np.arange(1, last))  # 0 below the first round
+    step = scratch.shape[1] // (last + 2 * len(_LOG_FIELDS) + 1)  # rows of the widest piece
+    edges = [*np.union1d(widths, np.arange(0, len(log), step)), len(log)]
     raw = log.view(np.uint8).reshape(len(log), LOG_DTYPE.itemsize)
-    out = []
-    for w, lo, hi in zip(range(first, last + 1), edges, edges[1:]):
-        block = np.empty((w + 2 * len(_LOG_FIELDS) + 1, hi - lo), dtype=np.uint8)
+    for lo, hi in zip(edges, edges[1:]):
+        w = len(str(int(rounds[lo])))
+        block = scratch[0, : (w + 2 * len(_LOG_FIELDS) + 1) * (hi - lo)].reshape(-1, hi - lo)
         block[w:-1:2] = ord(",")
         block[-1] = ord("\n")
         np.add(raw[lo:hi, _DIGIT_BYTES].T, ord("0"), out=block[w + 1 :: 2])
-        # One unsigned division per digit, last digit first; v is this call's own copy.
-        v, (q, r) = value[lo:hi], np.empty((2, hi - lo), value.dtype)
+        # One unsigned division per digit, last digit first, on the piece's own copy.
+        v, (q, r) = rounds[lo:hi].astype(unsigned), np.empty((2, hi - lo), unsigned)
         for k in range(w - 1, -1, -1):
             np.floor_divide(v, 10, out=q)
             np.multiply(q, 10, out=r)
             np.subtract(v, r, out=r)
             np.add(r, ord("0"), out=block[k], casting="unsafe")
             v, q = q, v
-        out.append(block.T.tobytes())
-    return b"".join(out)
+        text = scratch[1, : block.size].reshape(hi - lo, -1)
+        np.copyto(text, block.T)
+        out.write(text)
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -234,20 +239,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if exact and mode == "eb":
         raise ConfigError("exact mode is only available for prepare-and-measure runs")
     check_range("worker count", workers, 1)  # --exact never reaches the session's check
+    kernel = None if exact else _RoundKernel(cfg, mubs)
 
     def simulate(take_rows=None):
         if exact:
             counts = expected_count_matrix(cfg, mubs)
         else:
-            counts = _run_chunked(cfg, mubs, workers, bool(log_path), take_rows)
+            counts = _run_chunked(cfg, kernel, workers, bool(log_path), take_rows)
         _atomic_write(out, lambda tmp: save_counts(counts, tmp))
         return counts
 
     def stream_log(tmp):
         # The counts are written before the log is renamed: a failed run leaves no log.
+        # Rows a chunk at a time, text a quarter chunk at a time: it stays in cache.
+        rows = np.empty(CHUNK_ROUNDS, dtype=LOG_DTYPE)
+        scratch = np.empty((2, CHUNK_ROUNDS // 4 * (len(str(rounds - 1)) + 15)), dtype=np.uint8)
+
+        def write_rows(chunk, at, cat):
+            _format_log_rows(kernel.place(chunk, at, cat, rows[: len(cat)]), fh, scratch)
+
         with open(tmp, "wb") as fh:
             fh.write(_LOG_HEADER.encode("ascii"))
-            return simulate(lambda rows: fh.write(_format_log_rows(rows)))
+            return simulate(write_rows)
 
     counts = _atomic_write(log_path, stream_log) if log_path else simulate()
 

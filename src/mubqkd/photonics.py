@@ -111,15 +111,10 @@ class EfficiencyTable:
         return bool(np.all(np.isfinite(self.eta_a)) and np.all(np.isfinite(self.eta_b)))
 
 
-def identity_pairing(setting: Setting) -> Setting:
-    """Default conjugate map: the listed vectors already pair like-with-like."""
-    return setting
-
-
 def _partners(pairing: Pairing | None, dim: int) -> np.ndarray:
-    """Flat index basis * dim + elem of each setting's partner, settings in C order."""
+    """Flat index basis * dim + elem of each setting's partner (itself by default), in C order."""
     settings = list(np.ndindex(dim + 1, dim))
-    partners = [(pairing or identity_pairing)(s) for s in settings]
+    partners = [pairing(s) for s in settings] if pairing else settings
     index = np.array(partners)
     out = np.flatnonzero(np.any((index < 0) | (index >= (dim + 1, dim)), axis=1))
     if out.size:

@@ -3,16 +3,16 @@
 Each pump pulse is one protocol round.  Randomness is counter-based: the
 rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed
 by (seed, c), so chunks run on any worker and are handed on in chunk
-order, each as a new array of its logged rows (_run_chunked).  One round
-kernel serves both modes (see _RoundKernel).  A chunk draws its counts
-first: the number of candidate rounds (every PM round, the EB rounds that
-create a pair), then how many of them fall in each category of arm,
-setting pair and click pattern.  Rows are built only for a consumer that
-takes them, by placing that tally on the chunk's rounds: the coincidences
-first, then, for the full log, the other candidates and the settings of
-EB rounds without a pair.  The counts and the coincident rows are drawn
-before anything that only the full log needs, so they are the same with
-and without it.
+order (_run_chunked).  One round kernel serves both modes (see
+_RoundKernel).  A chunk draws its counts first: the number of candidate
+rounds (every PM round, the EB rounds that create a pair), then how many
+of them fall in each category of arm, setting pair and click pattern.
+Rows are built only for a consumer that takes them, straight into the
+memory that keeps them, by placing that tally on the chunk's rounds: the
+coincidences first, then, for the full log, the other candidates and the
+settings of EB rounds without a pair.  The counts and the coincident
+rows are drawn before anything that only the full log needs, so they
+are the same with and without it.
 
 Entanglement-based rounds: a photon pair appears with probability
 alpha_sq * chi and splits AB/AA/BB with probabilities (1/2, 1/4, 1/4).
@@ -127,8 +127,7 @@ class SessionRecord:
 
     ``log`` holds per-round LOG_DTYPE entries: every round when log_scope
     is "full", otherwise only the coincident rounds (which is all that
-    sifting needs).  A coincident log grew chunk by chunk in one buffer,
-    so building it held the log plus one chunk's rows.
+    sifting needs).
     """
 
     config: ProtocolConfig
@@ -245,12 +244,12 @@ class _Alias:
         self.pick = np.stack([self.alias, slots], axis=1).ravel()  # [2 slot + below cut]
 
     def draw(self, words: np.ndarray) -> np.ndarray:
-        """One position per 64-bit word, written over the words: one array fewer."""
+        """One position per 64-bit word, written over the words ("clip" skips the out= buffer)."""
         slot = (words >> self.shift).view(np.int64)
-        below = words < self.cut[slot]
+        below = words < np.take(self.cut, slot)
         slot <<= 1
         slot += below
-        return np.take(self.pick, slot, out=words.view(np.int64))
+        return np.take(self.pick, slot, out=words.view(np.int64), mode="clip")
 
 
 def _mark(rng: np.random.Generator, taken: np.ndarray, k: int) -> None:
@@ -288,6 +287,7 @@ class _RoundKernel:
         self.pair = weights.sum()  # 1 in PM
         w = (weights / self.pair)[:, None, None] * p_cell[:, None] * pattern
         self.shape = w.shape  # (arm, cell, pattern)
+        self.coinc_rate = self.pair * w[..., 3].sum()  # P(a round is a coincidence)
         self.cats = _Alias(w)
         self.arm, cell, pat = np.unravel_index(self.cats.index, self.shape)
         self.coinc = pat == 3
@@ -413,14 +413,16 @@ class _RoundKernel:
         per = per.reshape(self.shape).sum(axis=0)
         return np.stack([per[:, 1] + per[:, 3], per[:, 2] + per[:, 3], per[:, 3]])
 
+    def place(self, chunk: int, rounds: np.ndarray, cat: np.ndarray, dest=None) -> np.ndarray:
+        """A chunk's draw (see _draw) as LOG_DTYPE rows, in dest or new ("clip": no buffer)."""
+        dest = np.take(self.rows, cat, out=dest, mode="clip")
+        np.add(rounds, chunk * CHUNK_ROUNDS, out=dest["round"])
+        return dest
+
     def run(self, chunk: int, n: int, rows):
-        """Tally one chunk: the count of each category (see fold) and its rows (see _draw)."""
+        """Tally one chunk: the count of each category (see fold) and its new rows (see _draw)."""
         tally, rounds, cat = self._draw(chunk, n, rows)
-        if rows is None:
-            return tally, None
-        log = np.take(self.rows, cat, mode="clip")
-        np.add(rounds, chunk * CHUNK_ROUNDS, out=log["round"])
-        return tally, log
+        return tally, None if rows is None else self.place(chunk, rounds, cat)
 
 
 def _overlaps(mubs: MubSet, v: float) -> np.ndarray:
@@ -476,23 +478,21 @@ def _click_table(cfg: ProtocolConfig, mubs: MubSet):
     return weights, table.reshape(3, 3, -1)
 
 
-def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool, take_rows):
-    """Run the session and return its counts; each chunk's logged rows go to take_rows.
+def _run_chunked(cfg: ProtocolConfig, kernel: _RoundKernel, workers: int, keep_full_log: bool, take_rows):
+    """Run the session and return its counts; each chunk's draw goes to take_rows.
 
-    The rows arrive in chunk order as a new LOG_DTYPE array that take_rows
-    may keep; the library's log copies them and the CLI's --log writes them
-    out.  With take_rows=None no rows are built.  Worker threads run at
-    most 2 * workers chunks ahead: beside what take_rows keeps, memory is
-    O(workers * chunk).
+    take_rows(chunk, rounds, cat) gets each chunk's draw (_RoundKernel._draw) in
+    chunk order, in the calling thread, and places its rows where it keeps them
+    (kernel.place); with take_rows=None no rows are built.  Worker threads run at
+    most 2 * workers chunks ahead: beside what take_rows keeps, memory is O(workers * chunk).
     """
     check_range("worker count", workers, 1)
-    kernel = _RoundKernel(cfg, mubs)
     n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
     workers = min(workers, n_chunks)
     rows = None if take_rows is None else "full" if keep_full_log else "coincident"
 
     def run(c: int):
-        return kernel.run(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS), rows)
+        return kernel._draw(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS), rows)
 
     def threaded():
         # A sliding window, not one map per batch: no batch waits on its slowest chunk.
@@ -504,10 +504,10 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
                 window.extend(islice(futures, 1))
 
     totals = np.zeros(len(kernel.cats.index), dtype=np.int64)
-    for tally, log in map(run, range(n_chunks)) if workers == 1 else threaded():
+    for c, (tally, at, cat) in enumerate(map(run, range(n_chunks)) if workers == 1 else threaded()):
         totals += tally
         if take_rows is not None:
-            take_rows(log)
+            take_rows(c, at, cat)
 
     return _from_flat(
         cfg.dim, kernel.fold(totals), metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
@@ -517,35 +517,34 @@ def _run_chunked(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log:
 def _session(cfg: ProtocolConfig, mubs: MubSet, workers: int, keep_full_log: bool):
     """Counts plus the in-memory log, the library's consumer of _run_chunked.
 
-    A coincident log grows in one buffer, each chunk's rows appended as
-    bytes, and is wrapped once at the end: the session holds the log plus
-    one chunk's rows, never a second copy.  Rows move as bytes: a copy of
-    the packed records goes field by field.
+    The log is one array, a row per round or the expected coincident rows plus
+    a margin that rarely runs out; each chunk's rows go straight into its next
+    slice.  numpy asks for huge pages from 4 MiB on: a large log faults in 2 MiB at a time.
     """
-    if keep_full_log:
-        if cfg.rounds >= FULL_LOG_WARN_ROUNDS:
-            warnings.warn(
-                f"keeping a full per-round log for {cfg.rounds} rounds is large; "
-                "consider the coincident-only default",
-                stacklevel=3,
-            )
-        log = np.empty(cfg.rounds, dtype=LOG_DTYPE)  # one row per round, filled in place
+    kernel = _RoundKernel(cfg, mubs)
+    if keep_full_log and cfg.rounds >= FULL_LOG_WARN_ROUNDS:
+        warnings.warn(
+            f"keeping a full per-round log for {cfg.rounds} rounds is large; "
+            "consider the coincident-only default",
+            stacklevel=3,
+        )
+    m = cfg.rounds * kernel.coinc_rate  # coincident rows expected; 8 (binomial) SDs of room more
+    log = np.empty(cfg.rounds if keep_full_log else int(m + 8 * np.sqrt(m)) + 1, dtype=LOG_DTYPE)
+    used = 0
 
-        def take_rows(rows):
-            first = rows["round"][0]
-            log[first : first + len(rows)].view(np.uint8)[:] = rows.view(np.uint8)
+    def take_rows(chunk, rounds, cat):
+        nonlocal used
+        end = used + len(cat)
+        if end > len(log):  # in place: no view of log outlives a call
+            log.resize(max(end, 2 * len(log)), refcheck=False)
+        kernel.place(chunk, rounds, cat, log[used:end])
+        used = end
 
-    else:
-        grown = bytearray()
-        take_rows = grown.extend  # takes the rows' bytes through the buffer protocol
-
-    counts = _run_chunked(cfg, mubs, workers, keep_full_log, take_rows)
-    if not keep_full_log:
-        log = np.frombuffer(grown, dtype=LOG_DTYPE)  # writable: it shares the bytearray
+    counts = _run_chunked(cfg, kernel, workers, keep_full_log, take_rows)
     return SessionRecord(
         config=cfg,
         counts=counts,
-        log=log,
+        log=log[:used],
         log_scope="full" if keep_full_log else "coincident",
     )
 

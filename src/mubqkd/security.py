@@ -149,15 +149,6 @@ def q_max(d: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     raise NumericError(f"bisection for d={d} did not reach |rate| < {tol}")
 
 
-def holevo_gap(i_ab: float, r_min: float) -> float:
-    """Information ceded to the eavesdropper: I(A:B) minus the key rate.
-
-    A negative value signals inconsistent inputs and is returned as-is so
-    reports can flag it; it is never clipped to zero.
-    """
-    return i_ab - r_min
-
-
 def _gap_tolerance(d: int, n_same: float) -> float:
     """How far below zero sampling alone can push the eavesdropper bound.
 
@@ -194,7 +185,7 @@ class SecurityReport:
     h_b: float
     h_ab: float
     i_ab: float
-    gap: float
+    gap: float  # I(A:B) minus the rate, never clipped: below -gap_tol the inputs are inconsistent
     gap_tol: float
 
     @property
@@ -258,7 +249,7 @@ def analyze_counts(counts: CountMatrix, tol: float = DEFAULT_ROOT_TOL) -> Securi
         h_b=h_b,
         h_ab=h_ab,
         i_ab=i_ab,
-        gap=holevo_gap(i_ab, rate),
+        gap=i_ab - rate,
         # Expectation-valued counts carry no sampling error.
         gap_tol=0.0 if counts.exact else _gap_tolerance(counts.dim, n_same),
     )

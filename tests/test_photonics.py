@@ -10,11 +10,11 @@ from mubqkd.errors import ConfigError, CountDataError, DimensionError, ParseErro
 from mubqkd.photonics import (
     EfficiencyTable,
     SourceParams,
+    _partners,
     efficiency_uniformity,
     estimate_efficiency,
     expected_coincidences,
     expected_singles,
-    identity_pairing,
     load_efficiency_table,
     pair_routing_probs,
     save_efficiency_table,
@@ -210,8 +210,16 @@ def test_table_load_errors_name_the_physical_line(tmp_path, text, message):
     assert str(err.value) == message
 
 
+def _identity_pairing(setting):
+    return setting
+
+
 def test_identity_pairing():
-    assert identity_pairing((2, 1)) == (2, 1)
+    # No pairing pairs each setting with itself.
+    assert _identity_pairing((2, 1)) == (2, 1)
+    for d in (2, 3):
+        assert np.array_equal(_partners(None, d), _partners(_identity_pairing, d))
+        assert np.array_equal(_partners(None, d), np.arange((d + 1) * d))
 
 
 def test_estimator_rejects_negative_setting_indices():
@@ -280,7 +288,7 @@ def test_array_path_matches_loops_bitwise(dim, sampled, shifted):
     rng_a = np.random.default_rng(seed) if sampled else None
     rng_b = np.random.default_rng(seed) if sampled else None
     counts = synthesize_conjugate_records(params, table, pairing, rng_a)
-    records = loop_synthesize(params, table, pairing or identity_pairing, rng_b)
+    records = loop_synthesize(params, table, pairing or _identity_pairing, rng_b)
     want = records_counts(records, dim, exact=not sampled)
     assert counts.exact == want.exact
     for name in ("singles_a", "singles_b", "coincidences"):

@@ -15,6 +15,7 @@ from mubqkd.protocol import (
     SIFT_DTYPE,
     ProtocolConfig,
     SiftedData,
+    _RoundKernel,
     _run_chunked,
     default_basis_bias,
     estimate_parameters,
@@ -149,7 +150,7 @@ _NAN_CASES = {
         SiftedData(2, np.zeros(4, dtype=SIFT_DTYPE)), NAN, np.random.default_rng(0)
     ),
     "_run_chunked.workers": lambda tmp: _run_chunked(
-        _config(), mub_set(2), NAN, False, lambda rows: None
+        _config(), _RoundKernel(_config(), mub_set(2)), NAN, False, lambda chunk, rounds, cat: None
     ),
     "SourceParams.pulses": lambda tmp: SourceParams(pulses=NAN, alpha_sq=0.1, chi=0.5),
     "SourceParams.alpha_sq": lambda tmp: SourceParams(pulses=10, alpha_sq=NAN, chi=0.5),

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mubqkd import protocol
 from mubqkd.bases import mub_set
 from mubqkd.counts import normalize_blocks
 from mubqkd.errors import ConfigError, DimensionError
@@ -393,10 +394,40 @@ def test_chunk_rows_may_be_kept_without_a_copy(mode, keep_full, workers):
         cfg = ProtocolConfig(dim=3, mode="pm", rounds=rounds, seed=62, flip_prob=0.05)
         run = run_pm_session
     mubs = mub_set(3)
-    kept = []
-    _run_chunked(cfg, mubs, workers, keep_full, kept.append)
+    kernel, kept = _RoundKernel(cfg, mubs), []
+    _run_chunked(cfg, kernel, workers, keep_full, lambda c, at, cat: kept.append(kernel.place(c, at, cat)))
     joined = np.concatenate([rows.view(np.uint8) for rows in kept])
     assert joined.tobytes() == run(cfg, mubs, keep_full_log=keep_full).log.tobytes()
+
+
+class _StarvedKernel(_RoundKernel):
+    """Expects no coincidences: the coincident log starts with room for one row."""
+
+    def __init__(self, cfg, mubs):
+        super().__init__(cfg, mubs)
+        self.coinc_rate = 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_coincident_log_that_outgrows_its_room_keeps_every_row(monkeypatch, mode, workers):
+    rounds = 5 * CHUNK_ROUNDS + 123  # the last chunk is partial
+    if mode == "eb":
+        cfg, run = eb_config(dim=3, rounds=rounds, seed=64, visibility=0.9), run_eb_session
+    else:
+        cfg = ProtocolConfig(dim=3, mode="pm", rounds=rounds, seed=64, flip_prob=0.05)
+        run = run_pm_session
+    mubs = mub_set(3)
+    roomy = run(cfg, mubs, workers=workers)
+    # Room for the expected rows plus 8 standard deviations: no growth here.
+    m = rounds * _RoundKernel(cfg, mubs).coinc_rate
+    assert len(roomy.log.base) == int(m + 8 * np.sqrt(m)) + 1 > len(roomy.log)
+    monkeypatch.setattr(protocol, "_RoundKernel", _StarvedKernel)
+    grown = run(cfg, mubs, workers=workers)
+    assert len(grown.log) > 1  # from room for one row, it grew
+    assert grown.log.tobytes() == roomy.log.tobytes()
+    for name in ("singles_a", "singles_b", "coincidences"):
+        assert np.array_equal(getattr(grown.counts, name), getattr(roomy.counts, name))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -412,7 +443,7 @@ def test_full_log_changes_neither_counts_nor_coincident_rows(mode, workers):
     mubs = mub_set(3)
     short = run(cfg, mubs, workers=workers)
     full = run(cfg, mubs, workers=workers, keep_full_log=True)
-    bare = _run_chunked(cfg, mubs, workers, False, None)  # no rows at all
+    bare = _run_chunked(cfg, _RoundKernel(cfg, mubs), workers, False, None)  # no rows at all
     for name in ("singles_a", "singles_b", "coincidences"):
         assert np.array_equal(getattr(short.counts, name), getattr(full.counts, name))
         assert np.array_equal(getattr(bare, name), getattr(full.counts, name))

@@ -1,6 +1,7 @@
 """Tests for entropies, key rates, error-rate ceilings, and the report chain."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from mubqkd.bases import mub_set
 from mubqkd.counts import CountMatrix
 from mubqkd.errors import CountDataError, DimensionError, NumericError
 from mubqkd.photonics import SourceParams
-from mubqkd.protocol import ProtocolConfig, _run_chunked, expected_count_matrix
+from mubqkd.protocol import ProtocolConfig, _RoundKernel, _run_chunked, expected_count_matrix
 from mubqkd.security import (
     analyze_counts,
     average_qber,
     empirical_qber,
-    holevo_gap,
     isotropic_joint_distribution,
     joint_distribution_from_counts,
     key_rate,
@@ -238,9 +238,24 @@ def test_q_max_tolerance_validation():
             q_max(2, tol=tol)
 
 
+def _holevo_gap(i_ab, r_min):
+    return i_ab - r_min
+
+
 def test_holevo_gap_not_clipped():
-    assert holevo_gap(0.8, 1.0) == pytest.approx(-0.2)
-    assert holevo_gap(1.5, 1.0) == pytest.approx(0.5)
+    assert _holevo_gap(0.8, 1.0) == pytest.approx(-0.2)
+    assert _holevo_gap(1.5, 1.0) == pytest.approx(0.5)
+    # The report keeps a negative gap: at zero error the rate is log2 d, but a
+    # lopsided marginal holds I(A:B) far below it.
+    counts = _counts_from_blocks(2, diag=950.0, off=0.0)
+    cc = counts.coincidences.copy()
+    for basis in range(3):
+        cc[basis, 1, basis, 1] = 10.0
+    lopsided = analyze_counts(replace(counts, coincidences=cc))
+    assert lopsided.qber == 0.0 and lopsided.rate == 1.0
+    assert lopsided.gap == _holevo_gap(lopsided.i_ab, lopsided.rate) < -0.5
+    noisy = analyze_counts(_counts_from_blocks(2, diag=950.0, off=50.0))
+    assert noisy.gap == _holevo_gap(noisy.i_ab, noisy.rate) > 0
 
 
 def _counts_from_blocks(d, diag, off):
@@ -347,7 +362,7 @@ def test_noiseless_sampled_runs_raise_no_gap_warning(mode, rounds, d):
     source = SourceParams(pulses=rounds, alpha_sq=0.1, chi=0.5) if mode == "eb" else None
     for seed in range(20):
         cfg = ProtocolConfig(dim=d, mode=mode, rounds=rounds, seed=seed, source=source)
-        report = analyze_counts(_run_chunked(cfg, mubs, 1, False, None))
+        report = analyze_counts(_run_chunked(cfg, _RoundKernel(cfg, mubs), 1, False, None))
         assert report.qber == 0.0
         assert not report.gap_suspect
         assert "warning" not in report.to_text()
