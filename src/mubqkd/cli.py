@@ -39,7 +39,6 @@ from .photonics import (
 )
 from .protocol import (
     CHUNK_ROUNDS,
-    LOG_DTYPE,
     ProtocolConfig,
     _RoundKernel,
     _run_chunked,
@@ -73,44 +72,46 @@ def _atomic_write(path, writer):
 # Every field after the round is one digit: indices below 10 and 0/1 flags.
 _LOG_FIELDS = ("basis_a", "elem_a", "basis_b", "elem_b", "click_a", "click_b", "coincidence")
 _LOG_HEADER = ",".join(("round",) + _LOG_FIELDS) + "\n"
-# Byte offset of each one-digit field in a LOG_DTYPE row.
-_DIGIT_BYTES = [LOG_DTYPE.fields[name][1] for name in _LOG_FIELDS]
 
 
-def _format_log_rows(log: np.ndarray, out, scratch: np.ndarray) -> None:
-    """Write log rows to the binary file out as CSV: the decimal round, then seven 0-9 fields.
+def _field(a: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """Bytes offset to offset + size of each item of the contiguous 1-D array a, as V{size}."""
+    return np.ndarray(len(a), f"V{size}", a, offset, (a.itemsize,))
 
-    The rows come in ascending round order, so rows whose round numbers have
-    the same digit count form fixed-width blocks, cut into pieces that fit the
-    (2, m) uint8 scratch.  A piece fills a column-major matrix in scratch[0],
-    one matrix row per output column, and is written from its transpose in scratch[1].
+
+def _format_log_rows(rows: np.ndarray, out, last: int):
+    """A writer(first, cat) of consecutive CSV log rows, up to round last, to the binary file out.
+
+    Row i is round first + i, then the seven 0-9 fields of rows[cat[i]], by
+    name.  Calls ascend.  Rounds between multiples of 10**4 and powers of ten
+    share their width w and high digits: such a run is one gather from a
+    table of whole rows at width w, plus a slice of "0000" to "9999".  Only
+    the current width's table is kept, and the text leaves a run at a time.
     """
-    if not len(log):
-        return
-    rounds = log["round"]
-    last = len(str(int(rounds[-1])))
-    unsigned = np.uint32 if rounds[-1] < 2**32 else np.uint64
-    widths = np.searchsorted(rounds, 10 ** np.arange(1, last))  # 0 below the first round
-    step = scratch.shape[1] // (last + 2 * len(_LOG_FIELDS) + 1)  # rows of the widest piece
-    edges = [*np.union1d(widths, np.arange(0, len(log), step)), len(log)]
-    raw = log.view(np.uint8).reshape(len(log), LOG_DTYPE.itemsize)
-    for lo, hi in zip(edges, edges[1:]):
-        w = len(str(int(rounds[lo])))
-        block = scratch[0, : (w + 2 * len(_LOG_FIELDS) + 1) * (hi - lo)].reshape(-1, hi - lo)
-        block[w:-1:2] = ord(",")
-        block[-1] = ord("\n")
-        np.add(raw[lo:hi, _DIGIT_BYTES].T, ord("0"), out=block[w + 1 :: 2])
-        # One unsigned division per digit, last digit first, on the piece's own copy.
-        v, (q, r) = rounds[lo:hi].astype(unsigned), np.empty((2, hi - lo), unsigned)
-        for k in range(w - 1, -1, -1):
-            np.floor_divide(v, 10, out=q)
-            np.multiply(q, 10, out=r)
-            np.subtract(v, r, out=r)
-            np.add(r, ord("0"), out=block[k], casting="unsafe")
-            v, q = q, v
-        text = scratch[1, : block.size].reshape(hi - lo, -1)
-        np.copyto(text, block.T)
-        out.write(text)
+    quad = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+    quad = quad.view("<u4").ravel()  # "0000" to "9999"; below 10**4, the last w bytes
+    table = tail = np.tile(np.frombuffer(b",0" * len(_LOG_FIELDS) + b"\n", "V15"), len(rows))
+    tail.view(np.uint8).reshape(-1, 15)[:, 1::2] += np.stack([rows[f] for f in _LOG_FIELDS], -1)
+    tables = np.empty(len(rows) * (len(str(last)) + 15), dtype=np.uint8)  # one width's at a time
+    text = np.empty(10**4 * (len(str(last)) + 15), dtype=np.uint8)
+
+    def write(first: int, cat: np.ndarray) -> None:
+        nonlocal table
+        r, end = first, first + len(cat)
+        while r < end:
+            w, k = len(str(r)), min(len(str(r)), 4)
+            stop = min(end, 10**w, r - r % 10**4 + 10**4)
+            if table.itemsize != w + 15:
+                table = tables[: len(rows) * (w + 15)].view(f"V{w + 15}")
+                _field(table, w, 15)[...] = tail
+            _field(table, 0, w - k)[...] = np.void(str(r)[: w - k].encode())
+            run = text[: (stop - r) * (w + 15)].view(table.dtype)
+            np.take(table, cat[r - first : stop - first], out=run, mode="clip")
+            _field(run, w - k, k)[...] = _field(quad[r % 10**4 : r % 10**4 + stop - r], 4 - k, k)
+            out.write(run)
+            r = stop
+
+    return write
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -251,16 +252,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     def stream_log(tmp):
         # The counts are written before the log is renamed: a failed run leaves no log.
-        # Rows a chunk at a time, text a quarter chunk at a time: it stays in cache.
-        rows = np.empty(CHUNK_ROUNDS, dtype=LOG_DTYPE)
-        scratch = np.empty((2, CHUNK_ROUNDS // 4 * (len(str(rounds - 1)) + 15)), dtype=np.uint8)
-
-        def write_rows(chunk, at, cat):
-            _format_log_rows(kernel.place(chunk, at, cat, rows[: len(cat)]), fh, scratch)
-
+        # A full log numbers its rounds consecutively, so each chunk's draw is its rows.
         with open(tmp, "wb") as fh:
             fh.write(_LOG_HEADER.encode("ascii"))
-            return simulate(write_rows)
+            write = _format_log_rows(kernel.rows, fh, rounds - 1) if kernel else None  # --exact
+            return simulate(lambda chunk, at, cat: write(chunk * CHUNK_ROUNDS, cat))
 
     counts = _atomic_write(log_path, stream_log) if log_path else simulate()
 

@@ -200,6 +200,13 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return rng
 
 
+def _idle_scratch(n: int):
+    """This thread's _Alias.draw scratch for n EB full-log idle words; it stays in the thread."""
+    if not hasattr(_thread, "idle"):
+        _thread.idle = [np.empty(CHUNK_ROUNDS, t) for t in (np.uint64, np.uint64, bool)]
+    return tuple(a[:n] for a in _thread.idle)
+
+
 class _Alias:
     """Walker's alias table over the categories of positive weight.
 
@@ -243,13 +250,14 @@ class _Alias:
         self.cut = (slots.astype(np.uint64) << self.shift) + low
         self.pick = np.stack([self.alias, slots], axis=1).ravel()  # [2 slot + below cut]
 
-    def draw(self, words: np.ndarray) -> np.ndarray:
-        """One position per 64-bit word, written over the words ("clip" skips the out= buffer)."""
-        slot = (words >> self.shift).view(np.int64)
-        below = words < np.take(self.cut, slot)
+    def draw(self, words: np.ndarray, scratch=(None, None, None)) -> np.ndarray:
+        """One position per 64-bit word, written over the words, via scratch (slot, cut, below)."""
+        slot, cut, below = scratch  # uint64, uint64, bool of len(words); None: new arrays
+        slot = np.right_shift(words, self.shift, out=slot).view(np.int64)
+        below = np.less(words, self.cut.take(slot, out=cut, mode="clip"), out=below)
         slot <<= 1
         slot += below
-        return np.take(self.pick, slot, out=words.view(np.int64), mode="clip")
+        return self.pick.take(slot, out=words.view(np.int64), mode="clip")  # "clip" skips the out= buffer
 
 
 def _mark(rng: np.random.Generator, taken: np.ndarray, k: int) -> None:
@@ -328,7 +336,7 @@ class _RoundKernel:
         return np.repeat(pos, tally[pos])
 
     def _draw(self, chunk: int, n: int, rows):
-        """(tally, rounds, categories) of the chunk's first n rounds.
+        """(tally, rounds, categories) of the chunk's first n rounds (full log: None, all in order).
 
         rows is None (counts only), "coincident" or "full".  One stream
         draws, in this order: the tally, in which K ~ Binomial(CHUNK_ROUNDS,
@@ -387,11 +395,11 @@ class _RoundKernel:
         if rows != "full":
             return tally, hits[:k], hit_v[:k]
         if idle_rounds:  # each round's word picks its settings; a candidate's row replaces it
-            every = self.idle.draw(rng.bit_generator.random_raw(n))
+            every = self.idle.draw(rng.bit_generator.random_raw(n), _idle_scratch(n))
         else:
             every = np.empty(n, dtype=np.intp)
-        every[hits[:k]], every[others[:n]] = hit_v[:k], other_v[:k_other]
-        return tally, np.arange(n), every
+        every[hits[:k]], every[np.flatnonzero(others[:n])] = hit_v[:k], other_v[:k_other]
+        return tally, None, every
 
     def draw(self, chunk: int, n: int, buf: np.ndarray | None = None):
         """Candidate rounds of the chunk's first n and the category position of each."""
@@ -416,7 +424,7 @@ class _RoundKernel:
     def place(self, chunk: int, rounds: np.ndarray, cat: np.ndarray, dest=None) -> np.ndarray:
         """A chunk's draw (see _draw) as LOG_DTYPE rows, in dest or new ("clip": no buffer)."""
         dest = np.take(self.rows, cat, out=dest, mode="clip")
-        np.add(rounds, chunk * CHUNK_ROUNDS, out=dest["round"])
+        np.add(np.arange(len(cat)) if rounds is None else rounds, chunk * CHUNK_ROUNDS, out=dest["round"])
         return dest
 
     def run(self, chunk: int, n: int, rows):

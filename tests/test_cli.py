@@ -302,33 +302,44 @@ def test_log_bytes_do_not_change_with_workers(tmp_path, mode):
     assert logs[1] == logs[0] and logs[2] == logs[0]
 
 
-# Every width from 1 to 19 digits at 10**k - 1 and 10**k, both sides of 2**32, up to 2**63 - 1.
-_WIDTH_EDGES = sorted({0, 2**32 - 1, 2**32, 2**63 - 1} | {10**k + s for k in range(1, 19) for s in (-1, 0)})
+# Calls of consecutive rounds (first, count): two that end at 10**k - 2 and
+# start at 10**k - 1 for every width from 1 to 19 digits, the same across
+# 2**32, and up to 2**63 - 1.
+_WIDTH_RUNS = [(0, 4)] + sorted(
+    [(edge - 3, 2) for edge in [10**k for k in range(1, 19)] + [2**32]]
+    + [(edge - 1, 4) for edge in [10**k for k in range(1, 19)] + [2**32]]
+) + [(2**63 - 6, 6)]
 
 
 @pytest.mark.parametrize(
-    "rounds",
+    "runs, positions",
     [
-        _WIDTH_EDGES,
-        [r for r in _WIDTH_EDGES if r < 2**32],
-        # Ascending but not contiguous, as in a coincident log, across 999999/1000000.
-        np.flatnonzero(np.random.default_rng(1).random(20_000) < 0.05) + 990_000,
-        [7],
-        [2**63 - 1],
-        [],
+        (_WIDTH_RUNS, 16),
+        ([(first, n) for first, n in _WIDTH_RUNS if first + n <= 2**32] + [(2**32 - 1, 1)], 16),
+        # Across multiples of 10**4 and the 9999/10000, 99999/100000 and 10**12
+        # width changes, in chunk-sized and odd-sized calls, from a table of
+        # thousands of positions.
+        ([(0, CHUNK_ROUNDS), (CHUNK_ROUNDS, CHUNK_ROUNDS), (10**12 - 15_003, 30_011)], 5_000),
+        ([(7, 1)], 3),
+        ([(2**63 - 1, 1)], 3),
+        ([(0, 0)], 3),
     ],
-    ids=["all-widths", "below-2**32", "coincident", "one-row", "widest-row", "empty"],
+    ids=["all-widths", "below-2**32", "across-10**4", "one-row", "widest-row", "empty"],
 )
-def test_format_log_rows_matches_row_oracle(rounds):
-    log = np.zeros(len(rounds), dtype=LOG_DTYPE)
-    log["round"] = rounds
+def test_format_log_rows_matches_row_oracle(runs, positions):
     rng = np.random.default_rng(2)
+    rows = np.zeros(positions, dtype=LOG_DTYPE)
+    rows["round"] = rng.integers(0, 2**62, positions)  # the writer numbers the rows itself
     for name in cli._LOG_FIELDS:
-        log[name] = rng.integers(0, 10 if log[name].dtype == np.uint8 else 2, len(log))
-    for piece in (len(log), 7):  # the widest row has 19 + 15 bytes
-        out = io.BytesIO()
-        cli._format_log_rows(log, out, np.empty((2, max(piece, 1) * (19 + 15)), dtype=np.uint8))
-        assert out.getvalue() == _oracle_log(log).split(b"\n", 1)[1]
+        rows[name] = rng.integers(0, 10 if rows[name].dtype == np.uint8 else 2, positions)
+    cats = [rng.integers(0, positions, n) for _, n in runs]
+    log = rows[np.concatenate(cats)]
+    log["round"] = np.concatenate([np.arange(first, first + n, dtype=np.uint64) for first, n in runs])
+    out = io.BytesIO()
+    write = cli._format_log_rows(rows, out, max(first + n - 1 for first, n in runs))
+    for (first, _), cat in zip(runs, cats):
+        write(first, cat)
+    assert out.getvalue() == _oracle_log(log).split(b"\n", 1)[1]
 
 
 def test_simulate_log_holds_less_than_its_file(tmp_path):
@@ -348,6 +359,26 @@ def test_simulate_log_holds_less_than_its_file(tmp_path):
         tracemalloc.stop()
     assert log.stat().st_size > 4.8 * 2**20
     assert peak < 4.8 * 2**20
+
+
+# Traced peak of the second 250k-round EB --log in a process, whose rows are
+# formatted straight from each chunk's draw through one row-text table at a
+# time: 2.51 MiB at d = 2 and 5.98 MiB at d = 7.  A chunk row buffer and a
+# column-major text block read 4.42 and 7.17 MiB; a table kept for every
+# digit width would add about 1.9 MiB at d = 7.
+@pytest.mark.parametrize("dim, bias, limit_mib", [(2, "0.34,0.33,0.33", 3.5), (7, "0.875", 7.0)])
+def test_simulate_log_traced_peak(tmp_path, dim, bias, limit_mib):
+    argv = ("simulate", "--mode", "eb", "--dim", str(dim), "--rounds", "250000", "--seed", "1",
+            "--alpha-sq", "0.18", "--bias", bias,
+            "--out", str(tmp_path / "c.csv"), "--log", str(tmp_path / "l.csv"))  # fmt: skip
+    assert run_cli(*argv) == 0  # first-use allocations, the thread's draw scratch among them
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 def test_failed_counts_write_leaves_no_log(tmp_path):

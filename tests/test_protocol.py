@@ -22,6 +22,7 @@ from mubqkd.protocol import (
     _RoundKernel,
     _chunk_rng,
     _click_table,
+    _idle_scratch,
     _mark,
     _run_chunked,
     default_basis_bias,
@@ -98,6 +99,21 @@ def _setting_draws(bias, d, n, seed):
     """Flat setting indices drawn through an alias table over the settings."""
     table = _Alias(np.repeat(np.asarray(bias) / d, d))
     return table.index[table.draw(np.random.Philox(seed).random_raw(n))]
+
+
+def test_alias_draw_scratch_matches_new_arrays_and_stays_in_its_thread():
+    table = _Alias(np.repeat(np.array([0.5, 0.0, 0.3, 0.2]) / 3, 3))
+    words = np.random.Philox(3).random_raw(1000)
+    scratch = _idle_scratch(len(words))
+    got = table.draw(words.copy(), scratch)
+    assert np.array_equal(got, table.draw(words.copy()))
+    assert not any(np.shares_memory(got, a) for a in scratch)
+    other = []
+    worker = threading.Thread(target=lambda: other.append(_idle_scratch(1)))
+    worker.start()
+    worker.join(timeout=60)
+    assert len(other) == 1 and not np.shares_memory(other[0][0], scratch[0])
+    assert np.shares_memory(_idle_scratch(1)[0], scratch[0])  # one per thread, reused
 
 
 def test_sample_setting_respects_bias():
