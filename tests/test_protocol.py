@@ -9,7 +9,7 @@ import pytest
 
 from mubqkd import protocol
 from mubqkd.bases import mub_set
-from mubqkd.counts import normalize_blocks
+from mubqkd.counts import _MAX_DIM, normalize_blocks
 from mubqkd.errors import ConfigError, DimensionError
 from mubqkd.photonics import EfficiencyTable, SourceParams
 from mubqkd.protocol import (
@@ -791,6 +791,66 @@ def test_sift_keeps_only_same_basis_coincidences():
     # Perfect visibility and ideal detectors: keys agree exactly.
     assert sifted.alice_key == sifted.bob_key
     assert len(sifted.alice_key) == len(sifted)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_place_matches_a_by_name_oracle(mode, d):
+    # Each placed row is kernel.rows[cat] field by field, at the chunk's
+    # first round plus its own.  Chunks 2**16 + 3 and 2**20 put rounds past
+    # 2**32; 1000 rounds end inside a chunk; the empty draws place no row.
+    if mode == "eb":
+        cfg = eb_config(dim=d, seed=66, visibility=0.9)
+    else:
+        cfg = ProtocolConfig(dim=d, mode="pm", rounds=10, seed=66, flip_prob=0.05)
+    kernel = _RoundKernel(cfg, mub_set(d))
+    cases = []
+    for chunk in (0, 5, 2**16 + 3, 2**20):
+        for n in (CHUNK_ROUNDS, 1000, 1):
+            for scope in ("coincident", "full"):
+                cases.append((chunk, *kernel._draw(chunk, n, scope)[1:]))
+    _, rounds, cat = kernel._draw(2**16 + 9, CHUNK_ROUNDS, "coincident")
+    for width in (np.int64, np.uint32):  # the sort key's two widths
+        cases.append((2**16 + 9, rounds.astype(width), cat.astype(width)))
+    cases.append((2**16 + 3, rounds[:0], cat[:0]))
+    assert any(len(cat) == 0 for _, _, cat in cases)
+    # Into slices of one log, between sentinel bytes that must survive.
+    total = sum(len(cat) for _, _, cat in cases)
+    log = np.empty(total + 2, dtype=LOG_DTYPE)
+    log.view(np.uint8)[:] = 0xAB
+    used = 1
+    for chunk, rounds, cat in cases:
+        got = kernel.place(chunk, rounds, cat, log[used:used + len(cat)])
+        used += len(cat)
+        assert got.tobytes() == kernel.place(chunk, rounds, cat).tobytes()  # a new array
+        at = np.arange(len(cat)) if rounds is None else rounds.astype(np.int64)
+        assert np.array_equal(got["round"], chunk * CHUNK_ROUNDS + at)
+        for name in LOG_DTYPE.names[1:]:
+            assert np.array_equal(got[name], kernel.rows[name][cat]), name
+    assert log[-1].tobytes() == log[0].tobytes() == b"\xab" * LOG_DTYPE.itemsize
+    assert log["round"][1:-1].max() > 2**36
+
+
+def test_coincident_categories_fit_the_16_bit_sort_key(monkeypatch):
+    # _draw packs each coincident category position beside its round in 16
+    # bits.  They all sit in arm 0, at most 4 (d + 1)^2 d^2 of them.
+    d = 7
+    kernel = _RoundKernel(_uneven_config(d, "eb"), mub_set(d))
+    pos = np.flatnonzero(kernel.coinc)
+    assert len(pos) > 0 and (kernel.arm[pos] == 0).all()
+    assert pos[-1] < 4 * ((d + 1) * d) ** 2 < 2**16
+    assert 4 * ((_MAX_DIM + 1) * _MAX_DIM) ** 2 == 48400 < 2**16
+
+    class Padded(_Alias):
+        """2**16 more categories (of pattern 0) before the table's own."""
+
+        def __init__(self, weights):
+            super().__init__(weights)
+            self.index = np.concatenate([np.zeros(1 << 16, dtype=self.index.dtype), self.index])
+
+    monkeypatch.setattr(protocol, "_Alias", Padded)
+    with pytest.raises(ConfigError, match="last coincident category"):
+        _RoundKernel(_uneven_config(d, "eb"), mub_set(d))
 
 
 _SIFT_SOURCES = (("round", "round"), ("basis", "basis_a"), ("elem_a", "elem_a"), ("elem_b", "elem_b"))
