@@ -38,7 +38,6 @@ from .photonics import (
     save_efficiency_table,
 )
 from .protocol import (
-    CHUNK_ROUNDS,
     ProtocolConfig,
     _RoundKernel,
     _run_chunked,
@@ -256,7 +255,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with open(tmp, "wb") as fh:
             fh.write(_LOG_HEADER.encode("ascii"))
             write = _format_log_rows(kernel.rows, fh, rounds - 1) if kernel else None  # --exact
-            return simulate(lambda chunk, at, cat: write(chunk * CHUNK_ROUNDS, cat))
+            return simulate(lambda chunk, at, cat: write(chunk * kernel.chunk_rounds, cat))
 
     counts = _atomic_write(log_path, stream_log) if log_path else simulate()
 

@@ -1,18 +1,18 @@
 """Session simulation for the entanglement-based and prepare-and-measure modes.
 
 Each pump pulse is one protocol round.  Randomness is counter-based: the
-rounds of chunk c = r // CHUNK_ROUNDS draw from the Philox stream keyed
-by (seed, c), so chunks run on any worker and are handed on in chunk
-order (_run_chunked).  One round kernel serves both modes (see
-_RoundKernel).  A chunk draws its counts first: the number of candidate
-rounds (every PM round, the EB rounds that create a pair), then how many
-of them fall in each category of arm, setting pair and click pattern.
-Rows are built only for a consumer that takes them, straight into the
-memory that keeps them, by placing that tally on the chunk's rounds: the
-coincidences first, then, for the full log, the other candidates and the
-settings of EB rounds without a pair.  The counts and the coincident
-rows are drawn before anything that only the full log needs, so they
-are the same with and without it.
+rounds of chunk c = r // _RoundKernel.chunk_rounds (2**16 in PM, 2**18
+in EB) draw from the Philox stream keyed by (seed, c), so chunks run on
+any worker and are handed on in chunk order (_run_chunked).  One round
+kernel serves both modes (see _RoundKernel).  A chunk draws its counts
+first: the number of candidate rounds (every PM round, the EB rounds
+that create a pair), then how many of them fall in each category of arm,
+setting pair and click pattern.  Rows are built only for a consumer that
+takes them, straight into the memory that keeps them, by placing that
+tally on the chunk's rounds: the coincidences first, then, for the full
+log, the other candidates and the settings of EB rounds without a pair.
+The counts and the coincident rows are drawn before anything that only
+the full log needs, so they are the same with and without it.
 
 Entanglement-based rounds: a photon pair appears with probability
 alpha_sq * chi and splits AB/AA/BB with probabilities (1/2, 1/4, 1/4).
@@ -41,7 +41,9 @@ from .errors import ConfigError, DimensionError, check_range
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
 from .security import _disagreement
 
-CHUNK_ROUNDS = 1 << 16  # a round's place in its chunk fits a uint16 (see _RoundKernel._draw)
+CHUNK_ROUNDS = 1 << 16  # a PM chunk: a round's place in it fits a uint16 (see _RoundKernel._draw)
+EB_CHUNK_ROUNDS = 1 << 18  # fewer than a tenth of EB rounds are candidates: longer chunks share fixed costs
+_IDLE_BLOCK = 1 << 12  # EB full-log idle words are drawn this many at a time
 FULL_LOG_WARN_ROUNDS = 10**7
 
 # elem_b comes before basis_b: a row's first bytes are then a SIFT_DTYPE
@@ -204,9 +206,9 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _idle_scratch(n: int):
-    """This thread's _Alias.draw scratch for n EB full-log idle words; it stays in the thread."""
+    """This thread's _Alias.draw scratch for n <= _IDLE_BLOCK EB full-log idle words; it stays in the thread."""
     if not hasattr(_thread, "idle"):
-        _thread.idle = [np.empty(CHUNK_ROUNDS, t) for t in (np.uint64, np.uint64, bool)]
+        _thread.idle = [np.empty(_IDLE_BLOCK, t) for t in (np.uint64, np.uint64, bool)]
     return tuple(a[:n] for a in _thread.idle)
 
 
@@ -289,6 +291,7 @@ class _RoundKernel:
     def __init__(self, cfg: ProtocolConfig, mubs: MubSet):
         d, n_s = cfg.dim, (cfg.dim + 1) * cfg.dim
         self.seed = cfg.seed
+        self.chunk_rounds = EB_CHUNK_ROUNDS if cfg.mode == "eb" else CHUNK_ROUNDS
         weights, (p_a, p_b, p_ab) = _click_table(cfg, mubs)
         p_setting = np.repeat(np.asarray(cfg.basis_bias) / d, d)
         p_cell = np.outer(p_setting, p_setting).ravel()
@@ -309,7 +312,7 @@ class _RoundKernel:
         # an eighth as many categories as a chunk's expected candidates.
         # probs is None for alias words.
         self.probs = None
-        if 8 * len(self.cats.index) < CHUNK_ROUNDS * self.pair:
+        if 8 * len(self.cats.index) < self.chunk_rounds * self.pair:
             self.probs = w.ravel()[self.cats.index] / w.sum()
         if cfg.mode == "eb":
             # Full-log rounds without a pair: settings only, no clicks.  Their
@@ -345,7 +348,7 @@ class _RoundKernel:
         """(tally, rounds, categories) of the chunk's first n rounds (full log: None, all in order).
 
         rows is None (counts only), "coincident" or "full".  One stream
-        draws, in this order: the tally, in which K ~ Binomial(CHUNK_ROUNDS,
+        draws, in this order: the tally, in which K ~ Binomial(chunk_rounds,
         pair probability) candidates (every PM round) fall in the categories
         by one multinomial or by one alias word each; the rounds of the
         coincident candidates, a uniform subset; those of the others, a
@@ -357,53 +360,56 @@ class _RoundKernel:
         n and takes its tally from the candidates among them.
         """
         rng = _chunk_rng(self.seed, chunk)
-        n_cats = len(self.cats.index)
-        candidates = rng.binomial(CHUNK_ROUNDS, self.pair)
+        size, n_cats = self.chunk_rounds, len(self.cats.index)
+        candidates = rng.binomial(size, self.pair)
         if self.probs is None:
             cat = self.cats.draw(rng.bit_generator.random_raw(candidates))
             tally = np.bincount(cat, minlength=n_cats)
         else:
             cat, tally = None, rng.multinomial(candidates, self.probs)
-        if rows is None and n == CHUNK_ROUNDS:
+        if rows is None and n == size:
             return tally, None, None
         # choice gives distinct rounds in random order, so the coincident
         # categories land on them in a random arrangement.  Each round carries
         # its category in its low 16 bits (see __init__): one sort puts both in
-        # round order, in 32 bits (twice as fast) from about 1500 keys on.
+        # round order, in 32 bits (twice as fast) from about 1500 keys on when
+        # the round fits 16 bits.
         hit_v = self._among(tally, cat, self.coinc)
-        key = rng.choice(CHUNK_ROUNDS, len(hit_v), replace=False) << 16
+        key = rng.choice(size, len(hit_v), replace=False) << 16
         key |= hit_v
-        key = key.astype(np.uint32 if len(key) > 1500 else np.int64, copy=False)
+        key = key.astype(np.uint32 if len(key) > 1500 and size <= 1 << 16 else np.int64, copy=False)
         key.sort()
         hits = key >> 16
         hit_v = key  # in place: one array fewer
         hit_v &= 0xFFFF
         k = np.searchsorted(hits, n)
-        if rows == "coincident" and n == CHUNK_ROUNDS:
+        if rows == "coincident" and n == size:
             return tally, hits, hit_v
         # The other candidates' categories, in random order, go to the free
         # rounds in round order: to all of them in PM, a uniform subset in EB.
         other_v = self._among(tally, cat, ~self.coinc)
         if cat is None:
             rng.shuffle(other_v)
-        taken = np.zeros(CHUNK_ROUNDS, dtype=bool)
-        taken[hits] = True
-        others = ~taken
-        idle_rounds = candidates < CHUNK_ROUNDS  # EB: rounds without a pair
+        others = np.zeros(size, dtype=bool)  # marks the coincident rounds, then the others' instead
+        others[hits] = True
+        idle_rounds = candidates < size  # EB: rounds without a pair
         if idle_rounds:
-            others = taken.copy()
             _mark(rng, others, len(other_v))
-            others ^= taken
+            others[hits] = False
+        else:
+            others = ~others
         k_other = np.count_nonzero(others[:n])
-        if n < CHUNK_ROUNDS:
+        if n < size:
             tally = np.bincount(hit_v[:k], minlength=n_cats)
             tally += np.bincount(other_v[:k_other], minlength=n_cats)
         if rows != "full":
             return tally, hits[:k], hit_v[:k]
-        if idle_rounds:  # each round's word picks its settings; a candidate's row replaces it
-            every = self.idle.draw(rng.bit_generator.random_raw(n), _idle_scratch(n))
-        else:
-            every = np.empty(n, dtype=np.intp)
+        # EB: each round's word picks its settings and a candidate's row replaces
+        # it; uint32 halves the chunk's categories.  place takes PM's intp uncast.
+        every = np.empty(n, dtype=np.uint32 if idle_rounds else np.intp)
+        for lo in range(0, n, _IDLE_BLOCK) if idle_rounds else ():
+            words = rng.bit_generator.random_raw(min(_IDLE_BLOCK, n - lo))
+            every[lo : lo + len(words)] = self.idle.draw(words, _idle_scratch(len(words)))
         every[hits[:k]], every[np.flatnonzero(others[:n])] = hit_v[:k], other_v[:k_other]
         return tally, None, every
 
@@ -431,7 +437,8 @@ class _RoundKernel:
         """A chunk's draw (see _draw) as LOG_DTYPE rows, in dest or new: a tail word each, then the int64 round."""
         dest = np.empty(len(cat), dtype=LOG_DTYPE) if dest is None else dest
         dest.view(_ROW_TAIL)["tail"] = self.tails.take(cat)
-        np.add(np.arange(len(cat)) if rounds is None else rounds, np.int64(chunk * CHUNK_ROUNDS), out=dest["round"])
+        first = np.int64(chunk * self.chunk_rounds)
+        np.add(np.arange(len(cat)) if rounds is None else rounds, first, out=dest["round"])
         return dest
 
     def run(self, chunk: int, n: int, rows):
@@ -502,12 +509,13 @@ def _run_chunked(cfg: ProtocolConfig, kernel: _RoundKernel, workers: int, keep_f
     most 2 * workers chunks ahead: beside what take_rows keeps, memory is O(workers * chunk).
     """
     check_range("worker count", workers, 1)
-    n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
+    size = kernel.chunk_rounds
+    n_chunks = (cfg.rounds + size - 1) // size
     workers = min(workers, n_chunks)
     rows = None if take_rows is None else "full" if keep_full_log else "coincident"
 
     def run(c: int):
-        return kernel._draw(c, min(CHUNK_ROUNDS, cfg.rounds - c * CHUNK_ROUNDS), rows)
+        return kernel._draw(c, min(size, cfg.rounds - c * size), rows)
 
     def threaded():
         # A sliding window, not one map per batch: no batch waits on its slowest chunk.
@@ -618,7 +626,7 @@ def _key_string(elems: np.ndarray, dim: int) -> str:
         raise DimensionError(
             f"key strings hold one decimal digit per symbol; d={dim} needs more"
         )
-    return (elems + ord("0")).tobytes().decode("ascii")  # uint8 + 48 stays uint8
+    return str(elems + ord("0"), "ascii")  # uint8 + 48 stays uint8, decoded from its buffer
 
 
 def sift(session: SessionRecord) -> SiftedData:

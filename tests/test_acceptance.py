@@ -25,7 +25,6 @@ from mubqkd.photonics import (
     synthesize_conjugate_records,
 )
 from mubqkd.protocol import (
-    CHUNK_ROUNDS,
     ProtocolConfig,
     _RoundKernel,
     expected_count_matrix,
@@ -282,12 +281,13 @@ def test_criterion_7_source_model_identities():
     aa_bb_total = 0
     kernel = _RoundKernel(cfg, mub_set(2))
     buf = kernel.buffer()
-    n_chunks = (rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
+    size = kernel.chunk_rounds  # an EB chunk's rounds
+    n_chunks = (rounds + size - 1) // size
     for chunk in range(n_chunks):
-        n = min(CHUNK_ROUNDS, rounds - chunk * CHUNK_ROUNDS)
+        n = min(size, rounds - chunk * size)
         created, v = kernel.draw(chunk, n, buf)
         arm = kernel.route(v)  # 0: one photon in each arm
-        lo = chunk * CHUNK_ROUNDS
+        lo = chunk * size
         ab_mask[lo + created[arm == 0]] = True
         created_total += len(created)
         aa_bb_total += int((arm != 0).sum())

@@ -18,7 +18,7 @@ from mubqkd.bases import load_bases
 from mubqkd.counts import CSV_HEADER, load_counts
 from mubqkd.errors import NumericError
 from mubqkd.photonics import EFFICIENCY_SLACK, EfficiencyTable, save_efficiency_table
-from mubqkd.protocol import CHUNK_ROUNDS, LOG_DTYPE
+from mubqkd.protocol import CHUNK_ROUNDS, EB_CHUNK_ROUNDS, LOG_DTYPE
 
 
 def run_cli(*argv):
@@ -267,11 +267,12 @@ def _simulate_capturing_session(monkeypatch, *argv):
     return run(cfg, mub_set(cfg.dim), keep_full_log=True)
 
 
-# 100_001 rounds cross both the 65535/65536 chunk edge and the
-# 99999/100000 digit-width change; 12_000 rounds cross 9999/10000.
+# 100_001 rounds cross both the 65535/65536 chunk edge of PM and the
+# 99999/100000 digit-width change; 12_000 rounds cross 9999/10000.  An EB
+# chunk holds 2**18 rounds: one more crosses its edge.
 @pytest.mark.parametrize(
     "mode, dim, rounds",
-    [("eb", 2, 100_001), ("eb", 7, 12_000), ("pm", 2, 12_000), ("pm", 7, 12_000)],
+    [("eb", 2, 100_001), ("eb", 7, 12_000), ("eb", 7, EB_CHUNK_ROUNDS + 1), ("pm", 2, 12_000), ("pm", 7, 12_000)],
 )
 def test_log_file_matches_row_oracle(tmp_path, monkeypatch, mode, dim, rounds):
     log = tmp_path / "rounds.csv"
@@ -287,7 +288,7 @@ def test_log_file_matches_row_oracle(tmp_path, monkeypatch, mode, dim, rounds):
 
 @pytest.mark.parametrize("mode", ["eb", "pm"])
 def test_log_bytes_do_not_change_with_workers(tmp_path, mode):
-    rounds = 3 * CHUNK_ROUNDS + 17
+    rounds = 3 * (EB_CHUNK_ROUNDS if mode == "eb" else CHUNK_ROUNDS) + 17
     logs = []
     for workers in (1, 2, 3):
         log = tmp_path / f"rounds{workers}.csv"
@@ -363,7 +364,8 @@ def test_simulate_log_holds_less_than_its_file(tmp_path):
 
 # Traced peak of the second 250k-round EB --log in a process, whose rows are
 # formatted straight from each chunk's draw through one row-text table at a
-# time: 2.51 MiB at d = 2 and 5.98 MiB at d = 7.  A chunk row buffer and a
+# time: 1.93 MiB at d = 2 and 5.56 MiB at d = 7 with 2**18-round EB chunks
+# (1.58 and 5.20 MiB with 65536-round chunks).  A chunk row buffer and a
 # column-major text block read 4.42 and 7.17 MiB; a table kept for every
 # digit width would add about 1.9 MiB at d = 7.
 @pytest.mark.parametrize("dim, bias, limit_mib", [(2, "0.34,0.33,0.33", 3.5), (7, "0.875", 7.0)])

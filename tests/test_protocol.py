@@ -14,6 +14,7 @@ from mubqkd.errors import ConfigError, DimensionError
 from mubqkd.photonics import EfficiencyTable, SourceParams
 from mubqkd.protocol import (
     CHUNK_ROUNDS,
+    EB_CHUNK_ROUNDS,
     LOG_DTYPE,
     SIFT_DTYPE,
     ProtocolConfig,
@@ -318,7 +319,7 @@ def test_eb_session_with_per_setting_efficiencies():
 
 
 def test_worker_count_does_not_change_results():
-    cfg = eb_config(rounds=3 * CHUNK_ROUNDS + 123, seed=50)
+    cfg = eb_config(rounds=3 * EB_CHUNK_ROUNDS + 123, seed=50)
     mubs = mub_set(2)
     one = run_eb_session(cfg, mubs, workers=1, keep_full_log=False)
     four = run_eb_session(cfg, mubs, workers=4, keep_full_log=False)
@@ -366,6 +367,8 @@ def _every_draw(rng):
         rng.bit_generator.random_raw(5),
         rng.choice(CHUNK_ROUNDS, 1000, replace=False),  # Floyd's: k <= N / 50
         rng.choice(CHUNK_ROUNDS, 3000, replace=False),  # a tail shuffle of arange(N)
+        rng.choice(EB_CHUNK_ROUNDS, 5242, replace=False),  # Floyd's, at an EB chunk's N
+        rng.choice(EB_CHUNK_ROUNDS, 5243, replace=False),  # a tail shuffle of arange(N)
         rng.integers(CHUNK_ROUNDS, size=7),
         rng.integers(CHUNK_ROUNDS, size=5, dtype=np.uint16),
         rng.integers(CHUNK_ROUNDS, size=5, dtype=np.uint32),
@@ -402,7 +405,7 @@ def test_chunk_rng_reuse_matches_a_fresh_philox():
 @pytest.mark.parametrize("mode", ["eb", "pm"])
 def test_chunk_rows_may_be_kept_without_a_copy(mode, keep_full, workers):
     # More chunks than window slots: no chunk may write over rows handed on earlier.
-    rounds = 7 * CHUNK_ROUNDS + 11
+    rounds = 7 * (EB_CHUNK_ROUNDS if mode == "eb" else CHUNK_ROUNDS) + 11
     if mode == "eb":
         cfg = eb_config(dim=3, rounds=rounds, seed=62, visibility=0.9)
         run = run_eb_session
@@ -449,7 +452,7 @@ def test_coincident_log_that_outgrows_its_room_keeps_every_row(monkeypatch, mode
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("mode", ["eb", "pm"])
 def test_full_log_changes_neither_counts_nor_coincident_rows(mode, workers):
-    rounds = 2 * CHUNK_ROUNDS + 1000  # the last chunk is partial
+    rounds = 2 * (EB_CHUNK_ROUNDS if mode == "eb" else CHUNK_ROUNDS) + 1000  # the last chunk is partial
     if mode == "eb":
         cfg = eb_config(dim=3, rounds=rounds, seed=61, visibility=0.9)
         run = run_eb_session
@@ -603,14 +606,16 @@ def test_same_seed_reproduces_different_seed_differs():
 
 def test_partial_chunk_boundary():
     mubs = mub_set(2)
-    for rounds in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1):
+    size = _RoundKernel(eb_config(seed=9), mubs).chunk_rounds
+    assert size == EB_CHUNK_ROUNDS
+    for rounds in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, size - 1, size, size + 1):
         cfg = eb_config(rounds=rounds, seed=9)
         session = run_eb_session(cfg, mubs)
         total_a = session.counts.singles_a.sum()
         assert total_a <= rounds
     # The first `rounds` draws agree regardless of where the chunk ends.
     small = run_eb_session(eb_config(rounds=100, seed=9), mubs, keep_full_log=True)
-    big = run_eb_session(eb_config(rounds=CHUNK_ROUNDS + 100, seed=9), mubs,
+    big = run_eb_session(eb_config(rounds=size + 100, seed=9), mubs,
                          keep_full_log=True)
     assert np.array_equal(small.log, big.log[:100])
 
@@ -626,14 +631,14 @@ def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, seed):
     kernel = _gap_kernel(pair_prob, seed=31 if seed is None else seed)
     buf = kernel.buffer()
     assert buf.size == 0  # EB needs no draw buffer
-    empty_chunks = 0
+    size, empty_chunks = kernel.chunk_rounds, 0
     for chunk in range(20):
-        full_rows, full_v = kernel.draw(chunk, CHUNK_ROUNDS, buf)
+        full_rows, full_v = kernel.draw(chunk, size, buf)
         assert full_v.shape == (len(full_rows),)
         assert np.all(np.diff(full_rows) > 0)
-        assert len(full_rows) == 0 or 0 <= full_rows[0] <= full_rows[-1] < CHUNK_ROUNDS
+        assert len(full_rows) == 0 or 0 <= full_rows[0] <= full_rows[-1] < size
         empty_chunks += len(full_rows) == 0
-        for n in (1, 1000, CHUNK_ROUNDS - 1):
+        for n in (1, 1000, CHUNK_ROUNDS - 1, size - 1):
             rows, v = kernel.draw(chunk, n, buf)
             k = np.searchsorted(full_rows, n)
             assert np.array_equal(rows, full_rows[:k])
@@ -645,13 +650,13 @@ def test_eb_draw_is_a_prefix_of_the_whole_chunk(pair_prob, seed):
 def test_eb_created_rounds_are_binomial_and_evenly_spread():
     p, n_chunks, bins = 0.05, 200, 16
     kernel = _gap_kernel(p, seed=77)
-    buf = kernel.buffer()
+    buf, size = kernel.buffer(), kernel.chunk_rounds
     per_bin = np.zeros(bins, dtype=np.int64)
     for c in range(n_chunks):
-        rows, _ = kernel.draw(c, CHUNK_ROUNDS, buf)
-        per_bin += np.bincount(rows // (CHUNK_ROUNDS // bins), minlength=bins)
+        rows, _ = kernel.draw(c, size, buf)
+        per_bin += np.bincount(rows // (size // bins), minlength=bins)
     total = per_bin.sum()
-    mean = n_chunks * CHUNK_ROUNDS * p
+    mean = n_chunks * size * p
     assert abs(total - mean) < 5 * np.sqrt(mean * (1 - p))
     chi2 = ((per_bin - total / bins) ** 2 / (total / bins)).sum()
     assert chi2 < 50  # 15 degrees of freedom: exceeded with probability 1.2e-5
@@ -667,10 +672,11 @@ def test_full_log_rows_are_evenly_spread(mode):
         cfg, n_chunks = ProtocolConfig(dim=3, mode="pm", rounds=10, seed=78, flip_prob=0.3), 6
     kernel, bins = _RoundKernel(cfg, mub_set(cfg.dim)), 16
     assert kernel.probs is not None
-    at = np.arange(CHUNK_ROUNDS) // (CHUNK_ROUNDS // bins)
+    size = kernel.chunk_rounds
+    at = np.arange(size) // (size // bins)
     coinc, errors, basis0 = np.zeros(bins), np.zeros(bins), np.zeros(bins)
     for c in range(n_chunks):
-        _, log = kernel.run(c, CHUNK_ROUNDS, "full")
+        _, log = kernel.run(c, size, "full")
         hit = log["coincidence"]
         wrong = hit & (log["basis_a"] == log["basis_b"]) & (log["elem_a"] != log["elem_b"])
         coinc += np.bincount(at, weights=hit, minlength=bins)
@@ -684,7 +690,7 @@ def test_full_log_rows_are_evenly_spread(mode):
         return ((got - want) ** 2 / (want * (1 - p))).sum()
 
     # 15 degrees of freedom each: a limit of 50 is exceeded with probability 1.2e-5.
-    rows = np.full(bins, n_chunks * CHUNK_ROUNDS / bins)
+    rows = np.full(bins, n_chunks * size / bins)
     assert chi2(coinc, rows) < 50
     assert chi2(errors, coinc) < 50
     assert chi2(basis0, rows) < 50
@@ -804,12 +810,14 @@ def test_place_matches_a_by_name_oracle(mode, d):
     else:
         cfg = ProtocolConfig(dim=d, mode="pm", rounds=10, seed=66, flip_prob=0.05)
     kernel = _RoundKernel(cfg, mub_set(d))
+    size = kernel.chunk_rounds
+    assert size == (EB_CHUNK_ROUNDS if mode == "eb" else CHUNK_ROUNDS)
     cases = []
     for chunk in (0, 5, 2**16 + 3, 2**20):
-        for n in (CHUNK_ROUNDS, 1000, 1):
+        for n in sorted({size, CHUNK_ROUNDS, 1000, 1}, reverse=True):
             for scope in ("coincident", "full"):
                 cases.append((chunk, *kernel._draw(chunk, n, scope)[1:]))
-    _, rounds, cat = kernel._draw(2**16 + 9, CHUNK_ROUNDS, "coincident")
+    _, rounds, cat = kernel._draw(2**16 + 9, size, "coincident")
     for width in (np.int64, np.uint32):  # the sort key's two widths
         cases.append((2**16 + 9, rounds.astype(width), cat.astype(width)))
     cases.append((2**16 + 3, rounds[:0], cat[:0]))
@@ -824,7 +832,7 @@ def test_place_matches_a_by_name_oracle(mode, d):
         used += len(cat)
         assert got.tobytes() == kernel.place(chunk, rounds, cat).tobytes()  # a new array
         at = np.arange(len(cat)) if rounds is None else rounds.astype(np.int64)
-        assert np.array_equal(got["round"], chunk * CHUNK_ROUNDS + at)
+        assert np.array_equal(got["round"], chunk * size + at)
         for name in LOG_DTYPE.names[1:]:
             assert np.array_equal(got[name], kernel.rows[name][cat]), name
     assert log[-1].tobytes() == log[0].tobytes() == b"\xab" * LOG_DTYPE.itemsize
