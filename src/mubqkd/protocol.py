@@ -6,13 +6,18 @@ in EB) draw from the Philox stream keyed by (seed, c), so chunks run on
 any worker and are handed on in chunk order (_run_chunked).  One round
 kernel serves both modes (see _RoundKernel).  A chunk draws its counts
 first: the number of candidate rounds (every PM round, the EB rounds
-that create a pair), then how many of them fall in each category of arm,
+that create a pair), then how many of them fall in each category of
 setting pair and click pattern.  Rows are built only for a consumer that
 takes them, straight into the memory that keeps them, by placing that
 tally on the chunk's rounds: the coincidences first, then, for the full
 log, the other candidates and the settings of EB rounds without a pair.
 The counts and the coincident rows are drawn before anything that only
-the full log needs, so they are the same with and without it.
+the full log needs, so they are the same with and without it.  Neither
+the counts nor a log row shows which arm an EB pair took: the tally runs
+over setting pair and click pattern, summed over the arms, and only the
+draw() hook gives a candidate an arm.  For a seed, EB counts and logs
+differ from those of a tally over (arm, setting pair, click pattern),
+with the same distribution; PM has one arm, and its bytes are unchanged.
 
 Entanglement-based rounds: a photon pair appears with probability
 alpha_sq * chi and splits AB/AA/BB with probabilities (1/2, 1/4, 1/4).
@@ -188,18 +193,20 @@ class ParameterEstimate:
 _thread = threading.local()
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+def _chunk_rng(seed: int, chunk: int, block: int = 0) -> np.random.Generator:
     """Philox stream of one chunk, on this thread's generator, valid until its next call.
 
     A Philox stream is its key: reset to key (seed, chunk), counter 0 and
     no buffered words, the generator draws what a new Philox(key=[seed,
-    chunk]) would, without the unused SeedSequence a new one builds.
+    chunk]) would, without the unused SeedSequence a new one builds.  block
+    sets the counter's top word: block 1 starts 2**192 blocks past where any
+    draw from counter 0 reaches.
     """
     rng = getattr(_thread, "rng", None)
     if rng is None:
         rng = _thread.rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, chunk)},
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, block), "key": (seed, chunk)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng
@@ -278,35 +285,49 @@ def _mark(rng: np.random.Generator, taken: np.ndarray, k: int) -> None:
         taken[rng.integers(len(taken), size=need)] = True
 
 
+def _patterns(p_a, p_b, p_ab):
+    """Click-pattern probabilities (none, A only, B only, both) along a new last axis."""
+    return np.stack([1.0 - p_a - p_b + p_ab, p_a - p_ab, p_b - p_ab, p_ab], axis=-1)
+
+
 class _RoundKernel:
     """Lookup tables and the per-chunk round kernel shared by both modes.
 
-    A candidate round falls in one category of ``cats``, a table over (arm,
-    cell, click pattern); pattern bit 0 is A's click and bit 1 B's.  Only
-    categories of positive weight exist, so an arm that sends no photon to
-    a side never clicks there.  _draw gives a chunk's tally and, on demand,
-    its rows.
+    A candidate round falls in one category of ``cats``, the categories of
+    positive weight in ``table``: (cell, click pattern), summed over the
+    arms; pattern bit 0 is A's click and bit 1 B's.  _draw gives a chunk's
+    tally and, on demand, its rows; neither needs the arm a pair took, so
+    arms are drawn only by draw(), from P(arm | cell, pattern) and a stream
+    of their own.  The EB counts and logs of a seed are not those of a
+    tally over (arm, cell, pattern), but their distribution is; PM, with
+    one arm, draws the same bytes.
     """
 
     def __init__(self, cfg: ProtocolConfig, mubs: MubSet):
         d, n_s = cfg.dim, (cfg.dim + 1) * cfg.dim
         self.seed = cfg.seed
         self.chunk_rounds = EB_CHUNK_ROUNDS if cfg.mode == "eb" else CHUNK_ROUNDS
-        weights, (p_a, p_b, p_ab) = _click_table(cfg, mubs)
+        weights, table = _click_table(cfg, mubs)
         p_setting = np.repeat(np.asarray(cfg.basis_bias) / d, d)
         p_cell = np.outer(p_setting, p_setting).ravel()
-        pattern = np.stack([1.0 - p_a - p_b + p_ab, p_a - p_ab, p_b - p_ab, p_ab], axis=-1)
         # Routing probabilities, not per-round weights: a tiny pair
         # probability must not underflow the table.
         self.pair = weights.sum()  # 1 in PM
-        w = (weights / self.pair)[:, None, None] * p_cell[:, None] * pattern
-        self.shape = w.shape  # (arm, cell, pattern)
-        self.coinc_rate = self.pair * w[..., 3].sum()  # P(a round is a coincidence)
+        per_arm = (weights / self.pair)[:, None, None] * _patterns(*table)  # (arm, cell, pattern)
+        w = self.table = p_cell[:, None] * per_arm.sum(axis=0)  # (cell, pattern)
+        self.coinc_rate = self.pair * w[:, 3].sum()  # P(a round is a coincidence)
         self.cats = _Alias(w)
-        self.arm, cell, pat = np.unravel_index(self.cats.index, self.shape)
+        cell, pat = np.divmod(self.cats.index, 4)
+        # draw() picks a candidate's arm by one uniform against the cumulative
+        # P(arm | cell, pattern), whose last sum is the table's own; an arm of
+        # zero weight ends where the one before it does, so no uniform in
+        # [0, 1) lands on it.
+        joint = np.cumsum(per_arm.reshape(len(weights), -1)[:, self.cats.index], axis=0)
+        self.arm_cut = joint[:-1] / joint[-1]
         self.coinc = pat == 3
-        # _draw packs a coincident position in 16 bits: all are in arm 0, 4 (d + 1)^2 d^2 = 48400 at d = 10.
-        check_range("last coincident category", int(np.flatnonzero(self.coinc).max(initial=0)), hi=0xFFFF)
+        self.groups = [(mask, np.flatnonzero(mask)) for mask in (self.coinc, ~self.coinc)]
+        # _draw packs a coincident position in 16 bits: at most 4 (d + 1)^2 d^2 = 48400 at d = 10.
+        check_range("last coincident category", int(self.groups[0][1].max(initial=0)), hi=0xFFFF)
         # The tally: one category of rng.multinomial costs about as much as
         # 8 alias words, so it draws the tally when the table has fewer than
         # an eighth as many categories as a chunk's expected candidates.
@@ -333,15 +354,15 @@ class _RoundKernel:
         """Scratch for draw; the draw needs none, so it is empty."""
         return np.empty(0)
 
-    def _among(self, tally, cat, which):
-        """The chunk's drawn categories among ``which`` (a category mask).
+    def _among(self, tally, cat, group):
+        """The chunk's drawn categories in ``group``, a (mask, positions) pair of self.groups.
 
         Alias words keep their random draw order; a multinomial tally gives
         its categories in order.
         """
+        which, pos = group
         if cat is not None:
             return cat[which[cat]]
-        pos = np.flatnonzero(which)
         return np.repeat(pos, tally[pos])
 
     def _draw(self, chunk: int, n: int, rows):
@@ -374,7 +395,7 @@ class _RoundKernel:
         # its category in its low 16 bits (see __init__): one sort puts both in
         # round order, in 32 bits (twice as fast) from about 1500 keys on when
         # the round fits 16 bits.
-        hit_v = self._among(tally, cat, self.coinc)
+        hit_v = self._among(tally, cat, self.groups[0])
         key = rng.choice(size, len(hit_v), replace=False) << 16
         key |= hit_v
         key = key.astype(np.uint32 if len(key) > 1500 and size <= 1 << 16 else np.int64, copy=False)
@@ -387,7 +408,7 @@ class _RoundKernel:
             return tally, hits, hit_v
         # The other candidates' categories, in random order, go to the free
         # rounds in round order: to all of them in PM, a uniform subset in EB.
-        other_v = self._among(tally, cat, ~self.coinc)
+        other_v = self._among(tally, cat, self.groups[1])
         if cat is None:
             rng.shuffle(other_v)
         others = np.zeros(size, dtype=bool)  # marks the coincident rounds, then the others' instead
@@ -414,23 +435,32 @@ class _RoundKernel:
         return tally, None, every
 
     def draw(self, chunk: int, n: int, buf: np.ndarray | None = None):
-        """Candidate rounds of the chunk's first n and the category position of each."""
+        """Candidate rounds of the chunk's first n and, for each, arm * len(cats.index) + its category position.
+
+        The arm comes from P(arm | cell, pattern) by one uniform per candidate
+        in round order, drawn at counter block 1 of the chunk's key, so a
+        shorter draw is a prefix of a longer one and the chunk's other draws
+        are those of _draw.
+        """
         every = self._draw(chunk, n, "full")[2]
         rounds = np.flatnonzero(every < len(self.cats.index))  # idle rows follow the categories'
-        return rounds, every[rounds]
+        v = every[rounds]
+        u = _chunk_rng(self.seed, chunk, block=1).random(len(rounds))
+        arm = (u >= self.arm_cut[:, v]).sum(axis=0)
+        return rounds, arm * len(self.cats.index) + v
 
     def route(self, v: np.ndarray) -> np.ndarray:
-        """Arm of each drawn category: 0 AB, 1 AA, 2 BB (pair_routing_probs order).
+        """Arm of each of draw's candidates: 0 AB, 1 AA, 2 BB (pair_routing_probs order).
 
         PM has one arm, 0.
         """
-        return self.arm[v]
+        return v // len(self.cats.index)
 
     def fold(self, tally: np.ndarray) -> np.ndarray:
         """(singles_a, singles_b, coincidences) over the flat cells from per-category counts."""
-        per = np.zeros(np.prod(self.shape), dtype=np.int64)
+        per = np.zeros(self.table.size, dtype=np.int64)
         per[self.cats.index] = tally
-        per = per.reshape(self.shape).sum(axis=0)
+        per = per.reshape(self.table.shape)
         return np.stack([per[:, 1] + per[:, 3], per[:, 2] + per[:, 3], per[:, 3]])
 
     def place(self, chunk: int, rounds: np.ndarray, cat: np.ndarray, dest=None) -> np.ndarray:

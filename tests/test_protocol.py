@@ -194,12 +194,13 @@ def test_alias_sweep_matches_one_at_a_time_loop(kind):
 
 
 def _category_probs(cfg, mubs):
-    """routing x p(s_a) p(s_b) x pattern probability over (arm, cell, pattern), normalized."""
-    weights, (p_a, p_b, p_ab) = _click_table(cfg, mubs)
+    """p(s_a) p(s_b) x pattern probability of the routing-weighted click table over (cell, pattern), normalized."""
+    weights, table = _click_table(cfg, mubs)
+    p_a, p_b, p_ab = (weights / weights.sum()) @ table
     p_s = np.repeat(np.asarray(cfg.basis_bias) / cfg.dim, cfg.dim)
     p_cell = np.outer(p_s, p_s).ravel()
     patterns = [1.0 - p_a - p_b + p_ab, p_a - p_ab, p_b - p_ab, p_ab]
-    w = np.stack(patterns, axis=-1) * p_cell[:, None] * (weights / weights.sum())[:, None, None]
+    w = np.stack(patterns, axis=-1) * p_cell[:, None]
     return w / w[w > 0].sum()
 
 
@@ -577,7 +578,7 @@ def test_noiseless_tables_have_no_same_basis_mismatch_coincidence(d, mode):
     # Exact zeros stay zeros: no rounding noise may become a drawable category.
     cfg = eb_config(dim=d) if mode == "eb" else ProtocolConfig(dim=d, mode="pm", rounds=10, seed=0)
     kernel = _RoundKernel(cfg, mub_set(d))
-    _, cell, pat = np.unravel_index(kernel.cats.index, kernel.shape)
+    cell, pat = np.unravel_index(kernel.cats.index, kernel.table.shape)
     n_s = (d + 1) * d
     (basis_a, elem_a), (basis_b, elem_b) = np.divmod(cell // n_s, d), np.divmod(cell % n_s, d)
     assert (pat == 3).any()
@@ -724,18 +725,94 @@ def test_one_arm_routing_never_produces_coincidences():
     # White-box kernel check: with perfect detectors, both photons in one arm
     # always click there; the other arm must stay silent.
     kernel = _RoundKernel(eb_config(rounds=10, seed=0), mub_set(2))
-    arm = kernel.arm
-    rows = kernel.rows[: len(arm)]  # the idle rows of a full log follow
-    assert not (kernel.coinc & (arm != 0)).any()  # no AA/BB coincidence in the table
-    assert rows["click_a"][arm == 1].all() and not rows["click_b"][arm == 1].any()
-    assert rows["click_b"][arm == 2].all() and not rows["click_a"][arm == 2].any()
+    n_cats = len(kernel.cats.index)
     drawn = np.zeros(3, dtype=np.int64)
     for chunk in range(100):
         _, v = kernel.draw(chunk, CHUNK_ROUNDS)
-        one_arm = kernel.route(v) != 0
-        assert not (one_arm & kernel.coinc[v]).any()
-        drawn += np.bincount(kernel.route(v), minlength=3)
+        arm, rows = kernel.route(v), kernel.rows[v % n_cats]
+        assert not (kernel.coinc[v % n_cats] & (arm != 0)).any()  # no AA/BB coincidence
+        assert rows["click_a"][arm == 1].all() and not rows["click_b"][arm == 1].any()
+        assert rows["click_b"][arm == 2].all() and not rows["click_a"][arm == 2].any()
+        drawn += np.bincount(arm, minlength=3)
     assert drawn.min() > 0
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_kernel_table_gives_the_expected_counts(d, mode):
+    # The tally draws from the arm-summed (cell, pattern) table that
+    # expected_count_matrix reads: per candidate, times the pair probability
+    # and the rounds, it is the expected singles and coincidences.
+    noiseless = eb_config(dim=d) if mode == "eb" else ProtocolConfig(dim=d, mode="pm", rounds=10, seed=0)
+    for cfg in (_uneven_config(d, mode), noiseless):
+        mubs = mub_set(d)
+        kernel = _RoundKernel(cfg, mubs)
+        per = kernel.table * (kernel.pair * cfg.rounds)
+        want = expected_count_matrix(cfg, mubs)
+        atol = 4 * np.finfo(float).eps * kernel.pair * cfg.rounds  # cells that are 0 in theory
+        for got, name in ((per[:, 1] + per[:, 3], "singles_a"), (per[:, 2] + per[:, 3], "singles_b"),
+                          (per[:, 3], "coincidences")):
+            np.testing.assert_allclose(got, getattr(want, name).ravel(), rtol=1e-14, atol=atol, err_msg=name)
+
+
+def _arm_probs(cfg, mubs, index):
+    """P(arm | cell, pattern) at each flat (cell, pattern) of index, from each arm's own click table."""
+    weights, (p_a, p_b, p_ab) = _click_table(cfg, mubs)
+    joint = weights[:, None, None] * np.stack([1.0 - p_a - p_b + p_ab, p_a - p_ab, p_b - p_ab, p_ab], axis=-1)
+    joint = joint.reshape(len(weights), -1)[:, index]
+    return joint / joint.sum(axis=0)
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_draw_gives_each_candidate_an_arm_of_its_category(d, mode):
+    # draw() picks a candidate's arm from P(arm | cell, pattern): a
+    # coincidence only on AB, AA never clicks B, BB never clicks A, and over
+    # 200 EB chunks the arms of each (cell, pattern) follow those
+    # probabilities.  PM has one arm, so its chi2 has no degree of freedom
+    # at any chunk count: 20 chunks check that every arm is 0.
+    cfg = _uneven_config(d, mode)
+    mubs = mub_set(d)
+    kernel = _RoundKernel(cfg, mubs)
+    n_cats, size = len(kernel.cats.index), kernel.chunk_rounds
+    assert np.isfinite(kernel.arm_cut).all()
+    arms = 3 if mode == "eb" else 1
+    seen = np.zeros(arms * n_cats, dtype=np.int64)
+    for chunk in range(200 if mode == "eb" else 20):
+        _, v = kernel.draw(chunk, size)
+        arm, rows = kernel.route(v), kernel.rows[v % n_cats]
+        assert arm.max(initial=0) < arms
+        assert (arm[rows["coincidence"]] == 0).all()
+        assert not rows["click_b"][arm == 1].any() and not rows["click_a"][arm == 2].any()
+        seen += np.bincount(v, minlength=arms * n_cats)
+    seen = seen.reshape(arms, n_cats)
+    p = _arm_probs(cfg, mubs, kernel.cats.index)
+    assert not seen[p == 0].any()
+    want = seen.sum(axis=0) * p
+    free = (p > 0) & (want > 0)
+    chi2 = ((seen[free] - want[free]) ** 2 / want[free]).sum()
+    dof = free.sum() - np.count_nonzero(want.sum(axis=0))
+    if mode == "pm":
+        assert dof == 0 and chi2 == 0
+        return
+    assert (p[0, kernel.coinc] == 1).all() and dof > 0
+    # Wilson-Hilferty: chi2 with dof degrees of freedom exceeds this with probability about 3e-7.
+    assert chi2 < dof * (1 - 2 / (9 * dof) + 5 * np.sqrt(2 / (9 * dof))) ** 3
+
+
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_draw_of_fewer_rounds_is_a_prefix(d, mode):
+    # Each candidate's arm comes from its own uniform in round order, so a
+    # shorter draw keeps the rounds, categories and arms of the whole chunk's.
+    kernel = _RoundKernel(_uneven_config(d, mode), mub_set(d))
+    size = kernel.chunk_rounds
+    for chunk in (0, 9):
+        full_rows, full_v = kernel.draw(chunk, size)
+        for n in (1, 1000, size - 1):
+            rows, v = kernel.draw(chunk, n)
+            k = np.searchsorted(full_rows, n)
+            assert np.array_equal(rows, full_rows[:k]) and np.array_equal(v, full_v[:k])
 
 
 def test_pm_exact_mode_blocks():
@@ -841,11 +918,11 @@ def test_place_matches_a_by_name_oracle(mode, d):
 
 def test_coincident_categories_fit_the_16_bit_sort_key(monkeypatch):
     # _draw packs each coincident category position beside its round in 16
-    # bits.  They all sit in arm 0, at most 4 (d + 1)^2 d^2 of them.
+    # bits.  The table is over (cell, pattern): at most 4 (d + 1)^2 d^2 positions.
     d = 7
     kernel = _RoundKernel(_uneven_config(d, "eb"), mub_set(d))
     pos = np.flatnonzero(kernel.coinc)
-    assert len(pos) > 0 and (kernel.arm[pos] == 0).all()
+    assert len(pos) > 0 and kernel.table.shape == (((d + 1) * d) ** 2, 4)
     assert pos[-1] < 4 * ((d + 1) * d) ** 2 < 2**16
     assert 4 * ((_MAX_DIM + 1) * _MAX_DIM) ** 2 == 48400 < 2**16
 
