@@ -2,8 +2,8 @@
 
 Each pump pulse is one protocol round.  Randomness is counter-based: the
 rounds of chunk c = r // _RoundKernel.chunk_rounds (2**16 in PM, 2**18
-in EB) draw from the Philox stream keyed by (seed, c), so chunks run on
-any worker and are handed on in chunk order (_run_chunked).  One round
+in EB) draw from the Philox stream keyed by (seed, c), and _run_chunked
+runs the chunks one after another, in chunk order.  One round
 kernel serves both modes (see _RoundKernel).  A chunk draws its counts
 first: the number of candidate rounds (every PM round, the EB rounds
 that create a pair), then how many of them fall in each category of
@@ -32,10 +32,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -471,11 +468,6 @@ class _RoundKernel:
         np.add(np.arange(len(cat)) if rounds is None else rounds, first, out=dest["round"])
         return dest
 
-    def run(self, chunk: int, n: int, rows):
-        """Tally one chunk: the count of each category (see fold) and its new rows (see _draw)."""
-        tally, rounds, cat = self._draw(chunk, n, rows)
-        return tally, None if rows is None else self.place(chunk, rounds, cat)
-
 
 def _overlaps(mubs: MubSet, v: float) -> np.ndarray:
     """v |<e_ik|e_jm>|^2 + (1 - v) / d per vector pair, each same-basis block exactly I.
@@ -535,29 +527,15 @@ def _run_chunked(cfg: ProtocolConfig, kernel: _RoundKernel, workers: int, keep_f
 
     take_rows(chunk, rounds, cat) gets each chunk's draw (_RoundKernel._draw) in
     chunk order, in the calling thread, and places its rows where it keeps them
-    (kernel.place); with take_rows=None no rows are built.  Worker threads run at
-    most 2 * workers chunks ahead: beside what take_rows keeps, memory is O(workers * chunk).
+    (kernel.place); with take_rows=None no rows are built.  Beside what take_rows
+    keeps, memory is O(chunk).
     """
     check_range("worker count", workers, 1)
     size = kernel.chunk_rounds
-    n_chunks = (cfg.rounds + size - 1) // size
-    workers = min(workers, n_chunks)
     rows = None if take_rows is None else "full" if keep_full_log else "coincident"
-
-    def run(c: int):
-        return kernel._draw(c, min(size, cfg.rounds - c * size), rows)
-
-    def threaded():
-        # A sliding window, not one map per batch: no batch waits on its slowest chunk.
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = (executor.submit(run, c) for c in range(n_chunks))
-            window = deque(islice(futures, 2 * workers))
-            while window:
-                yield window.popleft().result()
-                window.extend(islice(futures, 1))
-
     totals = np.zeros(len(kernel.cats.index), dtype=np.int64)
-    for c, (tally, at, cat) in enumerate(map(run, range(n_chunks)) if workers == 1 else threaded()):
+    for c in range((cfg.rounds + size - 1) // size):
+        tally, at, cat = kernel._draw(c, min(size, cfg.rounds - c * size), rows)
         totals += tally
         if take_rows is not None:
             take_rows(c, at, cat)

@@ -9,6 +9,7 @@ import pytest
 
 from mubqkd import protocol
 from mubqkd.bases import mub_set
+from mubqkd.cli import cli_dispatch
 from mubqkd.counts import _MAX_DIM, normalize_blocks
 from mubqkd.errors import ConfigError, DimensionError
 from mubqkd.photonics import EfficiencyTable, SourceParams
@@ -330,6 +331,23 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(one.log, four.log)
 
 
+def test_no_worker_count_starts_a_thread(monkeypatch, tmp_path):
+    # Every chunk runs in the calling thread, at any worker count.
+    def refuse(thread):
+        raise AssertionError(f"{thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rounds = 3 * CHUNK_ROUNDS + 5
+    cfg = ProtocolConfig(dim=3, mode="pm", rounds=rounds, seed=71)
+    mubs = mub_set(3)
+    four = run_pm_session(cfg, mubs, workers=4, keep_full_log=True)
+    assert four.log.tobytes() == run_pm_session(cfg, mubs, workers=1, keep_full_log=True).log.tobytes()
+    assert cli_dispatch([
+        "simulate", "--mode", "pm", "--dim", "3", "--rounds", str(rounds), "--seed", "71",
+        "--workers", "4", "--out", str(tmp_path / "c.csv"), "--log", str(tmp_path / "rounds.csv"),
+    ]) == 0
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_is_rejected(workers):
     cfg = eb_config(rounds=1000, seed=50)
@@ -338,8 +356,9 @@ def test_worker_count_below_one_is_rejected(workers):
 
 
 def test_threaded_stream_under_frequent_thread_switches():
-    # More workers than cores and a tiny switch interval: rows shared between
-    # chunks, or results out of order, would change the log.
+    # A session on a thread of its own under a tiny switch interval: a
+    # generator or scratch shared between threads, or chunks out of order,
+    # would change the log.
     cfg = ProtocolConfig(dim=3, mode="pm", rounds=9 * CHUNK_ROUNDS + 5, seed=70)
     mubs = mub_set(3)
     want = run_pm_session(cfg, mubs, keep_full_log=True)
@@ -405,7 +424,7 @@ def test_chunk_rng_reuse_matches_a_fresh_philox():
 @pytest.mark.parametrize("keep_full", [False, True])
 @pytest.mark.parametrize("mode", ["eb", "pm"])
 def test_chunk_rows_may_be_kept_without_a_copy(mode, keep_full, workers):
-    # More chunks than window slots: no chunk may write over rows handed on earlier.
+    # Seven chunks and a partial one: no chunk may write over rows handed on earlier.
     rounds = 7 * (EB_CHUNK_ROUNDS if mode == "eb" else CHUNK_ROUNDS) + 11
     if mode == "eb":
         cfg = eb_config(dim=3, rounds=rounds, seed=62, visibility=0.9)
@@ -677,7 +696,7 @@ def test_full_log_rows_are_evenly_spread(mode):
     at = np.arange(size) // (size // bins)
     coinc, errors, basis0 = np.zeros(bins), np.zeros(bins), np.zeros(bins)
     for c in range(n_chunks):
-        _, log = kernel.run(c, size, "full")
+        log = kernel.place(c, *kernel._draw(c, size, "full")[1:])
         hit = log["coincidence"]
         wrong = hit & (log["basis_a"] == log["basis_b"]) & (log["elem_a"] != log["elem_b"])
         coinc += np.bincount(at, weights=hit, minlength=bins)
