@@ -5,8 +5,9 @@ for prime d, the eigenbases of the unitaries X Z^l for l = 0 .. d-1, where
 Z and X are the generalized phase and shift operators.  Dimension 4 is not
 prime; its four other bases are the closed-form quadratic-phase bases of
 two qubits, each the joint eigenbasis of the Pauli class its label names.
-Every vector comes from a closed formula; the finished set is validated
-once, by the MubSet that holds it.
+Each basis is built as one read-only complex array from a closed formula,
+its rows wrapped as Kets without a check of their own; the finished set
+is validated once, by the MubSet that holds it.
 
 A MubSet stacks its vectors once into the read-only (n_b, d, d) array
 ``_stack``, indexed [basis, element, amplitude].  Every overlap in the package derives from
@@ -32,27 +33,32 @@ UNBIASEDNESS_TOL = 1e-10
 SUPPORTED_DIMENSIONS = (2, 3, 4, 5, 7)
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"ket amplitudes must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 2:
-        raise DimensionError(f"ket dimension must be at least 2, got {arr.size}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """A unit-norm state vector over the computational basis."""
+    """A unit-norm state vector; ``Ket(amplitudes)`` copies it and checks its norm.
+
+    Built basis rows skip both (``_unchecked``): the MubSet that holds them checks them.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.amplitudes)
+        arr = np.array(self.amplitudes, dtype=np.complex128)
+        if arr.ndim != 1:
+            raise ValueError(f"ket amplitudes must be one-dimensional, got shape {arr.shape}")
+        if arr.size < 2:
+            raise DimensionError(f"ket dimension must be at least 2, got {arr.size}")
         defect = abs(np.linalg.norm(arr) - 1.0)
         check_range("|ket norm - 1|", defect, 0, ORTHONORMALITY_TOL, error=ValueError)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
+
+    @classmethod
+    def _unchecked(cls, amplitudes: np.ndarray) -> Ket:
+        """Skip the copy and the norm check: for read-only rows a MubSet will check."""
+        ket = object.__new__(cls)
+        ket.__dict__["amplitudes"] = amplitudes
+        return ket
 
     @property
     def dim(self) -> int:
@@ -91,9 +97,9 @@ class Basis:
 class MubSet:
     """A complete family of d+1 pairwise mutually unbiased bases.
 
-    ``check=False`` skips the orthonormality and unbiasedness tests so that
-    deliberately broken sets can be assembled for diagnostics; every
-    construction path inside the package keeps the checks on.
+    ``check=False`` skips the orthonormality and unbiasedness tests, the one
+    check of a built vector (see Ket), so that deliberately broken sets can be
+    assembled for diagnostics; every construction path in the package keeps them.
     """
 
     dim: int
@@ -167,6 +173,12 @@ def _is_prime(n: int) -> bool:
     return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
 
 
+def _kets(rows: np.ndarray) -> tuple[Ket, ...]:
+    """The rows of a built complex array, frozen, as unchecked Kets."""
+    rows.setflags(write=False)
+    return tuple(Ket._unchecked(row) for row in rows)
+
+
 def eigenbasis_xzl(d: int, l: int) -> Basis:
     """Eigenbasis of X Z^l for prime d, ordered by eigenvalue phase.
 
@@ -183,23 +195,15 @@ def eigenbasis_xzl(d: int, l: int) -> Basis:
     # Eigenvalue phases are integer multiples of pi/d; keeping the exponents
     # as integers mod 2d makes the phase-ascending order exact.
     numerators = sorted((l * (d - 1) + 2 * m) % (2 * d) for m in range(d))
-    scale = 1.0 / math.sqrt(d)
-
-    vectors = []
-    for numer in numerators:
-        exponents = [(l * j * (j - 1) - numer * j) % (2 * d) for j in range(d)]
-        amps = np.array(
-            [scale * cmath.exp(1j * cmath.pi * e / d) for e in exponents],
-            dtype=np.complex128,
-        )
-        vectors.append(Ket(amps))
-    return Basis(label=f"XZ^{l}", vectors=tuple(vectors))
+    j = np.arange(d)
+    exponents = (l * j * (j - 1) - np.array(numerators)[:, None] * j) % (2 * d)
+    phases = np.array([1.0 / math.sqrt(d) * cmath.exp(1j * cmath.pi * e / d) for e in range(2 * d)])
+    return Basis(label=f"XZ^{l}", vectors=_kets(phases[exponents]))
 
 
 def standard_basis(d: int) -> Basis:
     """The computational basis, which is also the eigenbasis of Z."""
-    eye = np.eye(d, dtype=np.complex128)
-    return Basis(label="Z", vectors=tuple(Ket(eye[:, k]) for k in range(d)))
+    return Basis(label="Z", vectors=_kets(np.eye(d, dtype=np.complex128)))
 
 
 # Dimension 4: the quadratic-phase bases of two qubits (Wootters and Fields,
@@ -225,7 +229,7 @@ def _quadratic_phase_basis(label: str, a: tuple, order: tuple[int, ...]) -> Basi
     quad = np.einsum("xi,ij,xj->x", _TWO_BITS, np.array(a), _TWO_BITS)
     powers = quad + 2 * (_TWO_BITS[list(order)] @ _TWO_BITS.T)  # [vector, x]
     amps = _HALF_I_POWERS[powers % 4]
-    return Basis(label=label, vectors=tuple(Ket(v) for v in amps))
+    return Basis(label=label, vectors=_kets(amps))
 
 
 def mub_set(d: int) -> MubSet:

@@ -48,30 +48,30 @@ class CountMatrix:
     def __post_init__(self):
         n_b = self.dim + 1
         shape = (n_b, self.dim, n_b, self.dim)
-        arrays = {}
-        for name in ("singles_a", "singles_b", "coincidences"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
+        names = ("singles_a", "singles_b", "coincidences")
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in names]
+        for name, arr in zip(names, arrays):
             if arr.shape != shape:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape} for dim {self.dim}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise CountDataError(f"{name} contains a non-finite value")
-            if np.min(arr) < 0:
-                raise CountDataError(f"{name} contains a negative value")
-            if not self.exact and not np.all(arr == np.floor(arr)):
-                raise CountDataError(f"{name} contains non-integer counts without exact flag")
-            arr.setflags(write=False)
-            arrays[name] = arr
-        over = arrays["coincidences"] > np.minimum(
-            arrays["singles_a"], arrays["singles_b"]
-        ) + 1e-9
+        flat = np.array(arrays).reshape(3, -1)  # the three tallies, checked in one pass
+        faults = {
+            "a non-finite value": ~np.isfinite(flat).all(axis=1),
+            "a negative value": (flat < 0).any(axis=1),
+        }
+        if not self.exact:
+            faults["non-integer counts without exact flag"] = (flat != np.floor(flat)).any(axis=1)
+        for name, bad in zip(names, np.column_stack(list(faults.values()))):
+            if bad.any():
+                raise CountDataError(f"{name} contains {list(faults)[bad.argmax()]}")
+        flat.setflags(write=False)
+        stack = flat.reshape(3, *shape)
+        over = stack[2] > np.minimum(stack[0], stack[1]) + 1e-9
         if np.any(over):
             idx = tuple(int(x) for x in np.argwhere(over)[0])
-            raise CountDataError(
-                f"coincidences exceed singles at setting pair {idx}"
-            )
-        for name, arr in arrays.items():
+            raise CountDataError(f"coincidences exceed singles at setting pair {idx}")
+        for name, arr in zip(names, stack):
             object.__setattr__(self, name, arr)
 
     @property

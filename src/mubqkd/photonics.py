@@ -113,8 +113,10 @@ class EfficiencyTable:
 
 def _partners(pairing: Pairing | None, dim: int) -> np.ndarray:
     """Flat index basis * dim + elem of each setting's partner (itself by default), in C order."""
+    if pairing is None:
+        return np.arange((dim + 1) * dim)
     settings = list(np.ndindex(dim + 1, dim))
-    partners = [pairing(s) for s in settings] if pairing else settings
+    partners = [pairing(s) for s in settings]
     index = np.array(partners)
     out = np.flatnonzero(np.any((index < 0) | (index >= (dim + 1, dim)), axis=1))
     if out.size:

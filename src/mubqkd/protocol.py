@@ -365,7 +365,8 @@ class _RoundKernel:
     def _draw(self, chunk: int, n: int, rows):
         """(tally, rounds, categories) of the chunk's first n rounds (full log: None, all in order).
 
-        rows is None (counts only), "coincident" or "full".  One stream
+        rows is None (counts only), "coincident", "full" or "candidates" (the full
+        log's categories, idle rounds past them, for draw()).  One stream
         draws, in this order: the tally, in which K ~ Binomial(chunk_rounds,
         pair probability) candidates (every PM round) fall in the categories
         by one multinomial or by one alias word each; the rounds of the
@@ -420,12 +421,14 @@ class _RoundKernel:
         if n < size:
             tally = np.bincount(hit_v[:k], minlength=n_cats)
             tally += np.bincount(other_v[:k_other], minlength=n_cats)
-        if rows != "full":
+        if rows is None or rows == "coincident":
             return tally, hits[:k], hit_v[:k]
         # EB: each round's word picks its settings and a candidate's row replaces
         # it; uint32 halves the chunk's categories.  place takes PM's intp uncast.
         every = np.empty(n, dtype=np.uint32 if idle_rounds else np.intp)
-        for lo in range(0, n, _IDLE_BLOCK) if idle_rounds else ():
+        if rows == "candidates":
+            every.fill(n_cats)  # no such words: idle rounds just read past the categories
+        for lo in range(0, n, _IDLE_BLOCK) if idle_rounds and rows == "full" else ():
             words = rng.bit_generator.random_raw(min(_IDLE_BLOCK, n - lo))
             every[lo : lo + len(words)] = self.idle.draw(words, _idle_scratch(len(words)))
         every[hits[:k]], every[np.flatnonzero(others[:n])] = hit_v[:k], other_v[:k_other]
@@ -439,7 +442,7 @@ class _RoundKernel:
         shorter draw is a prefix of a longer one and the chunk's other draws
         are those of _draw.
         """
-        every = self._draw(chunk, n, "full")[2]
+        every = self._draw(chunk, n, "candidates")[2]
         rounds = np.flatnonzero(every < len(self.cats.index))  # idle rows follow the categories'
         v = every[rounds]
         u = _chunk_rng(self.seed, chunk, block=1).random(len(rounds))

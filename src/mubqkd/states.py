@@ -89,19 +89,18 @@ class JointProbMatrix:
 
 
 def maximally_entangled(d: int) -> DensityOperator:
-    """|Psi><Psi| with |Psi> = (1/sqrt(d)) sum_i |i>|i>."""
-    check_range("dimension", d, 2, error=DimensionError)
-    psi = np.zeros(d * d, dtype=np.complex128)
-    psi[:: d + 1] = 1.0 / np.sqrt(d)
-    return DensityOperator(np.outer(psi, psi.conj()), dim=d)
+    """|Psi><Psi| with |Psi> = (1/sqrt(d)) sum_i |i>|i>: the isotropic state at v = 1."""
+    return isotropic_state(d, 1.0)
 
 
 def isotropic_state(d: int, v: float) -> DensityOperator:
-    """Mix the maximally entangled state with white noise at visibility v."""
+    """v |Psi><Psi| + (1 - v) I / d^2: the maximally entangled state mixed with white noise."""
     check_range("visibility", v, 0, 1, error=ValueError)
-    ent = maximally_entangled(d).matrix
+    check_range("dimension", d, 2, error=DimensionError)
+    psi = np.zeros(d * d, dtype=np.complex128)
+    psi[:: d + 1] = 1.0 / np.sqrt(d)
     noise = np.eye(d * d, dtype=np.complex128) / (d * d)
-    return DensityOperator(v * ent + (1.0 - v) * noise, dim=d)
+    return DensityOperator(v * np.outer(psi, psi.conj()) + (1.0 - v) * noise, dim=d)
 
 
 def joint_prob_matrix(rho: DensityOperator, mubs: MubSet) -> JointProbMatrix:

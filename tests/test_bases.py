@@ -1,9 +1,13 @@
 """Tests for basis construction, unbiasedness checks, and file round-trips."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from mubqkd.bases import (
+    _TWO_QUBIT_BASES,
     Basis,
     Ket,
     MubSet,
@@ -194,6 +198,57 @@ def test_ket_validation():
     assert k.dim == 2
     with pytest.raises(ValueError):
         k.amplitudes[0] = 5  # frozen buffer
+
+
+def _xzl_per_vector(d, l):
+    """Eigenbasis of X Z^l, one vector and one cmath amplitude at a time."""
+    numerators = sorted((l * (d - 1) + 2 * m) % (2 * d) for m in range(d))
+    scale = 1.0 / math.sqrt(d)
+    return [
+        [scale * cmath.exp(1j * cmath.pi * ((l * j * (j - 1) - numer * j) % (2 * d)) / d)
+         for j in range(d)]
+        for numer in numerators
+    ]
+
+
+# i^k / 2 by k mod 4; complex(0.0, -0.5), not -0.5j, whose real part is -0.0.
+_HALF_I = (complex(0.5, 0.0), complex(0.0, 0.5), complex(-0.5, 0.0), complex(0.0, -0.5))
+
+
+def _quadratic_phase_table(a, order):
+    """Vector b = 2 b1 + b2 has i^(x.A x) (-1)^(b.x) / 2 at x = 2 x1 + x2, one amplitude at a time."""
+    rows = []
+    for b in order:
+        b1, b2 = divmod(b, 2)
+        row = []
+        for x in range(4):
+            bits = divmod(x, 2)
+            quad = sum(a[i][j] * bits[i] * bits[j] for i in range(2) for j in range(2))
+            row.append(_HALF_I[(quad + 2 * (b1 * bits[0] + b2 * bits[1])) % 4])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_stack_matches_per_vector_formulas_byte_for_byte(d):
+    # Each basis is built as one array; every amplitude keeps the bytes of
+    # its closed formula evaluated on its own.
+    if d == 4:
+        bases = [_quadratic_phase_table(a, order) for _, a, order in _TWO_QUBIT_BASES]
+    else:
+        bases = [_xzl_per_vector(d, l) for l in range(d)]
+    want = np.array([np.eye(d).tolist()] + bases, dtype=np.complex128)
+    assert mub_set(d)._stack.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_package_built_kets_are_read_only(d):
+    built = [standard_basis(d)] + ([eigenbasis_xzl(d, 1)] if d != 4 else [])
+    for basis in list(mub_set(d).bases) + built:
+        for ket in basis.vectors:
+            assert not ket.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                ket.amplitudes[0] = 0.0
 
 
 def test_basis_orthonormality_enforced(tmp_path):

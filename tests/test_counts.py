@@ -11,7 +11,7 @@ from mubqkd.counts import (
     save_counts,
 )
 from mubqkd.bases import Ket
-from mubqkd.errors import CountDataError, ParseError
+from mubqkd.errors import CountDataError, DimensionError, ParseError
 from mubqkd.photonics import EfficiencyTable
 from mubqkd.states import DensityOperator, JointProbMatrix
 
@@ -348,6 +348,30 @@ def test_rejects_non_finite_counts(value):
     sb[1, 0, 2, 1] = value
     with pytest.raises(CountDataError, match="singles_b contains a non-finite value"):
         CountMatrix(dim=2, singles_a=sa, singles_b=sb, coincidences=cc, exact=True)
+
+
+_TALLIES = ("singles_a", "singles_b", "coincidences")
+_FAULTS = {
+    "shape": (DimensionError, "has shape"),
+    "non-finite": (CountDataError, "contains a non-finite value"),
+    "negative": (CountDataError, "contains a negative value"),
+    "non-integer": (CountDataError, "contains non-integer counts without exact flag"),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("name", _TALLIES)
+def test_count_faults_name_their_field(name, fault):
+    # The three tallies are checked together; the error names the bad one.
+    fields = dict(zip(_TALLIES, _grid(2)))
+    bad = fields[name]
+    if fault == "shape":
+        fields[name] = bad[:, :, :2]
+    else:
+        bad[2, 1, 0, 0] = {"non-finite": np.nan, "negative": -1.0, "non-integer": 0.5}[fault]
+    error, text = _FAULTS[fault]
+    with pytest.raises(error, match=f"^{name} {text}"):
+        CountMatrix(dim=2, **fields)
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])

@@ -222,6 +222,29 @@ def test_identity_pairing():
         assert np.array_equal(_partners(None, d), np.arange((d + 1) * d))
 
 
+def _tallies(counts):
+    return np.stack([counts.singles_a, counts.singles_b, counts.coincidences]).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_no_pairing_matches_explicit_identity_byte_for_byte(d):
+    # Without a pairing each setting pairs with itself: the same arrays as
+    # an explicit identity, exact and Poisson-sampled.
+    rng = np.random.default_rng(d)
+    table = EfficiencyTable(
+        dim=d, eta_a=rng.uniform(0.05, 0.5, (d + 1, d)), eta_b=rng.uniform(0.05, 0.5, (d + 1, d))
+    )
+    params = SourceParams(pulses=10**8, alpha_sq=0.1, chi=0.5)
+    for seed in (None, 3):
+        draw = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
+        plain = synthesize_conjugate_records(params, table, rng=draw[0])
+        paired = synthesize_conjugate_records(params, table, lambda s: s, rng=draw[1])
+        assert _tallies(plain) == _tallies(paired)
+        est, est_paired = estimate_efficiency(plain, d), estimate_efficiency(plain, d, lambda s: s)
+        assert est.eta_a.tobytes() == est_paired.eta_a.tobytes()
+        assert est.eta_b.tobytes() == est_paired.eta_b.tobytes()
+
+
 def test_estimator_rejects_negative_setting_indices():
     counts = counts_with({(0, 0, 0, 0): (10, 10, 1)})
     for pairing in (lambda s: (-1, s[1]), lambda s: (s[0], -1)):

@@ -61,6 +61,14 @@ def test_joint_prob_matrix_rejects_non_finite_probabilities(bad):
         JointProbMatrix(dim=2, probs=probs, block_available=np.ones((3, 3), dtype=bool))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_isotropic_state_is_the_mixture_byte_for_byte(d):
+    noise = np.eye(d * d, dtype=complex) / d**2
+    for v in (0.0, 0.37, 0.83, 1.0):
+        want = v * maximally_entangled(d).matrix + (1 - v) * noise
+        assert isotropic_state(d, v).matrix.tobytes() == want.tobytes()
+
+
 def test_isotropic_state_limits():
     d = 3
     pure = isotropic_state(d, 1.0)
