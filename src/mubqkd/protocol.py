@@ -378,6 +378,7 @@ class _RoundKernel:
         draw covers the whole chunk; a partial chunk keeps the rounds below
         n and takes its tally from the candidates among them.
         """
+        check_range("rounds drawn from a chunk", n, 1, self.chunk_rounds)
         rng = _chunk_rng(self.seed, chunk)
         size, n_cats = self.chunk_rounds, len(self.cats.index)
         candidates = rng.binomial(size, self.pair)

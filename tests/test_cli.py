@@ -5,6 +5,7 @@ import io
 import os
 import re
 import stat
+import sys
 import tempfile
 import tracemalloc
 
@@ -494,8 +495,22 @@ def test_analyze_missing_file_is_validation_error(tmp_path):
     assert run_cli("analyze", "--counts", str(tmp_path / "nope.csv")) == 1
 
 
-def test_unknown_subcommand_exits_one():
+def test_unknown_subcommand_exits_one(capsys):
     assert run_cli("frobnicate") == 1
+    assert "argument command: invalid choice" in capsys.readouterr().err
+
+
+def test_bad_option_usage_lists_every_subcommand(capsys):
+    assert run_cli("simulate", "--bogus") == 1
+    err = capsys.readouterr().err
+    assert "{gen-bases,simulate,analyze,efficiency,keyrate}" in err.split("\n")[0]  # the usage line
+    assert "unrecognized arguments: --bogus" in err
+
+
+def test_dispatch_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mubqkd", "keyrate", "--dim", "3", "--qber", "0.04"])
+    assert cli.cli_dispatch() == 0
+    assert capsys.readouterr().out.startswith("r_min = ")
 
 
 def test_no_subcommand_prints_help(capsys):
@@ -628,6 +643,18 @@ def test_flag_and_config_key_reach_the_handler_alike(tmp_path, command, key):
     assert from_flag is not None
     assert from_config == from_flag
     assert type(from_config) is type(from_flag)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, "--" + k.replace("_", "-")] + ([] if v is None else [v])
+     for c, keys in CLI_OPTIONS.items() for k, v in keys.items()]
+    + [["simulate", "--ro", "5"], ["keyrate"]],
+    ids=" ".join,
+)  # fmt: skip
+def test_narrowed_parser_parses_like_the_full_one(argv):
+    # An abbreviated flag resolves among the subcommand's own options in both.
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("command", list(CLI_OPTIONS))

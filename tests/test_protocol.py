@@ -834,6 +834,20 @@ def test_draw_of_fewer_rounds_is_a_prefix(d, mode):
             assert np.array_equal(rows, full_rows[:k]) and np.array_equal(v, full_v[:k])
 
 
+@pytest.mark.parametrize("mode", ["eb", "pm"])
+def test_draw_hooks_take_at_most_one_chunk(mode):
+    # A round past the chunk would read a category index that no draw wrote.
+    kernel = _RoundKernel(_uneven_config(3, mode), mub_set(3))
+    size = kernel.chunk_rounds
+    hooks = [lambda n: kernel.draw(2, n)]
+    hooks += [lambda n, rows=rows: kernel._draw(2, n, rows) for rows in (None, "coincident", "full")]
+    for hook in hooks:
+        hook(size)
+        for n in (0, size + 1):
+            with pytest.raises(ConfigError, match=f"rounds drawn from a chunk .*, got {n}"):
+                hook(n)
+
+
 def test_pm_exact_mode_blocks():
     cfg = ProtocolConfig(dim=3, mode="pm", rounds=90_000, seed=0)
     mubs = mub_set(3)
