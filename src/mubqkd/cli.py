@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -49,17 +48,16 @@ from .states import visibility_for_qber
 
 
 def _atomic_write(path, writer):
-    """Run writer(temp_path) on a temp file beside path, then rename into place.
+    """Run writer(temp_path) on a new temp file beside path, then rename into place.
 
-    The file gets the umask's mode, not mkstemp's 0600.  Returns what writer returns.
+    The temp file is created 0o666 for the kernel to mask, so the file gets the
+    umask's mode.  Returns what writer returns.
     """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
-    os.close(fd)
+    tmp = target.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        result = writer(Path(tmp))
-        os.umask(umask := os.umask(0))  # reads the umask: there is no getter
-        os.chmod(tmp, 0o666 & ~umask)
+        result = writer(tmp)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,6 +69,11 @@ def _atomic_write(path, writer):
 # Every field after the round is one digit: indices below 10 and 0/1 flags.
 _LOG_FIELDS = ("basis_a", "elem_a", "basis_b", "elem_b", "click_a", "click_b", "coincidence")
 _LOG_HEADER = ",".join(("round",) + _LOG_FIELDS) + "\n"
+
+
+def _log_size(rounds: int) -> int:
+    """Bytes of a log of rounds rows: the header, then digits(r) + 15 for each round r."""
+    return len(_LOG_HEADER) + 16 * rounds + sum(rounds - 10**k for k in range(1, len(str(rounds))))
 
 
 def _field(a: np.ndarray, offset: int, size: int) -> np.ndarray:
@@ -252,10 +255,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     def stream_log(tmp):
         # The counts are written before the log is renamed: a failed run leaves no log.
         # A full log numbers its rounds consecutively, so each chunk's draw is its rows.
+        # Sized before the draw: a full disk fails first, and a rename over an old
+        # log need not write the new one back (ext4 does for delayed allocations).
+        size = _log_size(rounds if kernel else 0)  # --exact: the header alone
         with open(tmp, "wb") as fh:
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, size)
             fh.write(_LOG_HEADER.encode("ascii"))
-            write = _format_log_rows(kernel.rows, fh, rounds - 1) if kernel else None  # --exact
-            return simulate(lambda chunk, at, cat: write(chunk * kernel.chunk_rounds, cat))
+            write = _format_log_rows(kernel.rows, fh, rounds - 1) if kernel else None
+            counts = simulate(lambda chunk, at, cat: write(chunk * kernel.chunk_rounds, cat))
+            if fh.tell() != size:  # else the preallocated tail would stay NUL bytes
+                raise RuntimeError(f"log holds {fh.tell()} bytes, sized for {size}")
+            return counts
 
     counts = _atomic_write(log_path, stream_log) if log_path else simulate()
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -406,6 +407,54 @@ def test_exact_pm_log_is_header_only(tmp_path):
     )
 
 
+@pytest.mark.parametrize("rounds", [1, 9, 10, 11, 99, 100, 10**4, 10**5 + 1, 250_000, EB_CHUNK_ROUNDS + 1])
+def test_log_size_counts_every_byte(rounds):
+    assert cli._log_size(rounds) == 64 + sum(len(str(r)) + 15 for r in range(rounds))
+
+
+def _simulate_log(log, *argv):
+    assert run_cli("simulate", *argv, "--out", str(log.parent / "c.csv"), "--log", str(log)) == 0
+    return log.read_bytes()
+
+
+def test_log_written_over_a_longer_log_is_a_fresh_log(tmp_path):
+    second = ("--mode", "pm", "--dim", "2", "--rounds", "12000", "--seed", "8")
+    log = tmp_path / "rounds.csv"
+    _simulate_log(log, "--mode", "eb", "--dim", "3", "--rounds", "100001", "--seed", "8")
+    fresh = _simulate_log(tmp_path / "fresh.csv", *second)
+    assert _simulate_log(log, *second) == fresh
+    assert len(fresh) == cli._log_size(12_000) and b"\0" not in fresh
+
+
+def test_log_on_a_full_disk_fails_before_the_draw(tmp_path, monkeypatch, capsys):
+    def no_space(fd, offset, size):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
+    monkeypatch.setattr(cli, "_run_chunked", lambda *a: pytest.fail("drew rounds"))
+    code = run_cli(
+        "simulate", "--mode", "eb", "--dim", "2", "--rounds", "1000", "--seed", "1",
+        "--out", str(tmp_path / "c.csv"), "--log", str(tmp_path / "rounds.csv"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_log_without_posix_fallocate_is_the_same(tmp_path, monkeypatch):
+    argv = ("--mode", "eb", "--dim", "2", "--rounds", "30000", "--seed", "4")
+    sized = _simulate_log(tmp_path / "sized.csv", *argv)
+    monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    assert _simulate_log(tmp_path / "plain.csv", *argv) == sized
+
+
+def test_log_of_a_mispredicted_size_is_not_kept(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_log_size", lambda rounds: 64 + 16 * rounds + 1)
+    with pytest.raises(RuntimeError, match="sized for"):
+        _simulate_log(tmp_path / "rounds.csv", "--mode", "pm", "--dim", "2", "--rounds", "500", "--seed", "1")
+    assert [p.name for p in tmp_path.iterdir() if p.name != "c.csv"] == []  # no log, no temp file
+
+
 def test_efficiency_subcommand(tmp_path, capsys):
     out = tmp_path / "c.csv"
     code = run_cli(
@@ -591,19 +640,24 @@ def test_keyrate_rejects_nan_error_rate(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_output_files_follow_umask(tmp_path):
-    out, log = tmp_path / "c.csv", tmp_path / "rounds.csv"
-    old = os.umask(0o022)
-    try:
-        code = run_cli(
-            "simulate", "--mode", "pm", "--dim", "2", "--rounds", "1000",
-            "--seed", "3", "--out", str(out), "--log", str(log),
-        )
-    finally:
-        os.umask(old)
-    assert code == 0
-    assert stat.S_IMODE(out.stat().st_mode) == 0o644
-    assert stat.S_IMODE(log.stat().st_mode) == 0o644
+def test_output_files_follow_umask(tmp_path, monkeypatch):
+    # Setting the umask to read it would unmask, for that instant, any file
+    # another thread of the process creates: the writes leave it to the kernel.
+    for umask, mode in [(0o022, 0o644), (0o027, 0o640)]:
+        out, log = tmp_path / f"c{umask:o}.csv", tmp_path / f"rounds{umask:o}.csv"
+        old = os.umask(umask)
+        monkeypatch.setattr(os, "umask", lambda *a: pytest.fail("os.umask called"))
+        try:
+            code = run_cli(
+                "simulate", "--mode", "pm", "--dim", "2", "--rounds", "1000",
+                "--seed", "3", "--out", str(out), "--log", str(log),
+            )
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert stat.S_IMODE(log.stat().st_mode) == mode
 
 
 # Every option of every subcommand, with one value as typed on the command
