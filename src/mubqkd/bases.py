@@ -10,10 +10,12 @@ its rows wrapped as Kets without a check of their own; the finished set
 is validated once, by the MubSet that holds it.
 
 A MubSet stacks its vectors once into the read-only (n_b, d, d) array
-``_stack``, indexed [basis, element, amplitude].  Every overlap in the package derives from
-its Gram tensor G[i, k, j, m] = <e_ik|e_jm>: the set is orthonormal when
-each diagonal block G[i, :, i, :] is the identity, and mutually unbiased
-when every off-diagonal block satisfies |G|^2 = 1/d.
+``_stack``, indexed [basis, element, amplitude], and builds its Gram tensor
+G[i, k, j, m] = <e_ik|e_jm> once: the set is orthonormal when each diagonal
+block G[i, :, i, :] is the identity, and mutually unbiased when every
+off-diagonal block satisfies |G|^2 = 1/d.  It keeps, read-only, the
+UnbiasednessReport (``_report``) and |G|^2 with each same-basis block
+exactly I (``_overlap``), which every overlap in the package reads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionError, ParseError, check_range
+from .errors import ConstructionError, DimensionError, ParseError, check_index, check_range
 from .errors import _dim_line, _text_lines
 
 ORTHONORMALITY_TOL = 1e-12
@@ -97,9 +99,9 @@ class Basis:
 class MubSet:
     """A complete family of d+1 pairwise mutually unbiased bases.
 
-    ``check=False`` skips the orthonormality and unbiasedness tests, the one
-    check of a built vector (see Ket), so that deliberately broken sets can be
-    assembled for diagnostics; every construction path in the package keeps them.
+    ``check=False`` still measures the set but skips the orthonormality and
+    unbiasedness tests, the one check of a built vector (see Ket), so that broken
+    sets can be assembled for diagnostics; every construction path keeps them.
     """
 
     dim: int
@@ -117,10 +119,19 @@ class MubSet:
         if any(b.dim != self.dim for b in bases):
             raise DimensionError("basis dimension does not match set dimension")
         stack = np.array([[v.amplitudes for v in b.vectors] for b in bases])
+        g = np.einsum("ikx,jmx->ikjm", stack.conj(), stack)
+        n_b, d = g.shape[:2]
+        same = np.eye(n_b, dtype=bool)[:, None, :, None]
+        overlap = np.abs(g) ** 2
+        report = UnbiasednessReport(
+            float(np.max(np.abs(overlap - 1.0 / d), where=~same, initial=0.0)),
+            float(np.max(np.abs(g - np.eye(n_b * d).reshape(g.shape)), where=same, initial=0.0)),
+        )
+        overlap[range(n_b), :, range(n_b), :] = np.eye(d)
         stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
+        overlap.setflags(write=False)
+        self.__dict__.update(_stack=stack, _overlap=overlap, _report=report)
         if check:
-            report = unbiasedness_report(self)
             if not report.max_orthonormality_defect <= ORTHONORMALITY_TOL:
                 raise ValueError(
                     "bases are not orthonormal: max defect "
@@ -145,26 +156,15 @@ class UnbiasednessReport:
     max_orthonormality_defect: float
 
 
-def _gram(mubs: MubSet) -> np.ndarray:
-    """Gram tensor G[i, k, j, m] = <e_ik|e_jm> of every vector pair in the set."""
-    return np.einsum("ikx,jmx->ikjm", mubs._stack.conj(), mubs._stack)
-
-
 def unbiasedness_report(mubs: MubSet) -> UnbiasednessReport:
-    """Measure how far a set is from being mutually unbiased.
+    """How far a set is from being mutually unbiased, as the MubSet measured it when built.
 
     Returns the maximum of | |<e|f>|^2 - 1/d | over all cross-basis vector
     pairs together with the maximum orthonormality defect of the individual
     bases.  A well-formed complete set keeps both below the module
     tolerances.
     """
-    g = _gram(mubs)
-    n_b, d = g.shape[:2]
-    same = np.eye(n_b, dtype=bool)[:, None, :, None]
-    eye = np.eye(n_b * d).reshape(g.shape)
-    max_dev = np.max(np.abs(np.abs(g) ** 2 - 1.0 / d), where=~same, initial=0.0)
-    max_defect = np.max(np.abs(g - eye), where=same, initial=0.0)
-    return UnbiasednessReport(float(max_dev), float(max_defect))
+    return mubs._report
 
 
 def _is_prime(n: int) -> bool:
@@ -240,7 +240,7 @@ def mub_set(d: int) -> MubSet:
     Other dimensions are rejected: no complete construction is wired up
     for them.
     """
-    if d not in SUPPORTED_DIMENSIONS:
+    if check_index("dimension", d, DimensionError) not in SUPPORTED_DIMENSIONS:
         raise DimensionError(
             f"unsupported dimension {d}; supported dimensions are {SUPPORTED_DIMENSIONS}"
         )

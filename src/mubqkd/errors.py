@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the range check and line reader that raise them.
+"""Exception types shared across the package, and the range, integer and line checks that raise them.
 
 The CLI maps these onto exit codes: validation problems (bad dimensions,
 malformed files, inconsistent counts, bad configuration) exit with 1,
@@ -6,6 +6,7 @@ numeric failures (root bracketing, construction checks) exit with 2.
 """
 
 import math
+import operator
 
 
 class MubQkdError(Exception):
@@ -87,3 +88,11 @@ def check_range(name, value, lo=-math.inf, hi=math.inf, ends="[]", error=ConfigE
     if lo_text == hi_text:  # a narrow interval must not read as a point
         lo_text, hi_text = f"{lo:.17g}", f"{hi:.17g}"
     raise error(f"{name} must lie in {left}{lo_text}, {hi_text}{right}, got {value}")
+
+
+def check_index(name, value, error=ConfigError):
+    """Return value as an int if operator.index takes it (numpy integers do), else raise error naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .counts import _MAX_DIM, CountMatrix, _from_flat
-from .errors import ConfigError, CountDataError, DimensionError, ParseError, check_range
+from .errors import ConfigError, CountDataError, DimensionError, ParseError, check_index, check_range
 from .errors import _dim_line, _text_lines
 
 Setting = tuple[int, int]
@@ -88,7 +88,7 @@ class EfficiencyTable:
     eta_b: np.ndarray
 
     def __post_init__(self):
-        shape = (self.dim + 1, self.dim)
+        shape = (check_index("dimension", self.dim, DimensionError) + 1, self.dim)
         for name in ("eta_a", "eta_b"):
             arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
@@ -103,6 +103,7 @@ class EfficiencyTable:
 
     @classmethod
     def uniform(cls, dim: int, eta: float = 1.0) -> "EfficiencyTable":
+        dim = check_index("dimension", dim, DimensionError)
         full = np.full((dim + 1, dim), float(eta))
         return cls(dim=dim, eta_a=full, eta_b=full.copy())
 

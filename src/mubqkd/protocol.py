@@ -37,9 +37,9 @@ from typing import Literal
 
 import numpy as np
 
-from .bases import MubSet, _gram
+from .bases import MubSet
 from .counts import _MAX_DIM, CountMatrix, _from_flat
-from .errors import ConfigError, DimensionError, check_range
+from .errors import ConfigError, DimensionError, check_index, check_range
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
 from .security import _disagreement
 
@@ -98,11 +98,11 @@ class ProtocolConfig:
     efficiencies: EfficiencyTable | None = None
 
     def __post_init__(self):
-        check_range("dimension", self.dim, 2, _MAX_DIM)
+        check_range("dimension", check_index("dimension", self.dim), 2, _MAX_DIM)
         if self.mode not in ("eb", "pm"):
             raise ConfigError(f"mode must be 'eb' or 'pm', got {self.mode!r}")
-        check_range("round count", self.rounds, 1)
-        check_range("seed", self.seed, 0, 2**64, "[)")
+        check_range("round count", check_index("round count", self.rounds), 1)
+        check_range("seed", check_index("seed", self.seed), 0, 2**64, "[)")
         bias = self.basis_bias
         if bias is None:
             bias = default_basis_bias(self.dim)
@@ -478,12 +478,10 @@ def _overlaps(mubs: MubSet, v: float) -> np.ndarray:
 
     This is d times the isotropic state's joint probability at visibility v
     (Alice conjugated), and the PM flip channel f at v = 1 - f d / (d - 1),
-    as sum_k |<e_ik|e_jm>|^2 = 1.  It assumes a checked set, as every
-    MubSet from mub_set or load_bases is.
+    as sum_k |<e_ik|e_jm>|^2 = 1.  It reads the set's stored |<e_ik|e_jm>|^2 and
+    assumes a checked set, as every MubSet from mub_set or load_bases is.
     """
-    ov = np.abs(_gram(mubs)) ** 2
-    ov[range(mubs.n_bases), :, range(mubs.n_bases), :] = np.eye(mubs.dim)
-    return v * ov + (1.0 - v) / mubs.dim
+    return v * mubs._overlap + (1.0 - v) / mubs.dim
 
 
 def pm_effective_overlaps(mubs: MubSet, flip_prob: float = 0.0) -> np.ndarray:

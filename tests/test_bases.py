@@ -191,6 +191,17 @@ def test_unsupported_dimension_rejected(d):
         mub_set(d)
 
 
+@pytest.mark.parametrize("d", [2.0, 3.5, "3", None])
+def test_non_integer_dimension_rejected(d):
+    # 2.0 in SUPPORTED_DIMENSIONS is true: the dimension must be an integer first.
+    with pytest.raises(DimensionError, match="dimension must be an integer"):
+        mub_set(d)
+
+
+def test_numpy_integer_dimension_accepted():
+    assert mub_set(np.int64(3))._stack.tobytes() == mub_set(3)._stack.tobytes()
+
+
 def test_ket_validation():
     with pytest.raises(ValueError):
         Ket(np.array([1.0, 1.0]))  # not normalized
@@ -363,3 +374,57 @@ def test_construction_speed():
     for d in SUPPORTED_DIMENSIONS:
         mub_set(d)
     assert time.perf_counter() - start < 1.0
+
+
+def _gram_oracle(mubs):
+    """The Gram tensor <e_ik|e_jm> of the set's vectors, from its stack."""
+    return np.einsum("ikx,jmx->ikjm", mubs._stack.conj(), mubs._stack)
+
+
+def _report_oracle(mubs):
+    """Both report figures by the formula unbiasedness_report evaluated from a new Gram tensor on every call."""
+    g = _gram_oracle(mubs)
+    n_b, d = g.shape[:2]
+    same = np.eye(n_b, dtype=bool)[:, None, :, None]
+    eye = np.eye(n_b * d).reshape(g.shape)
+    max_dev = np.max(np.abs(np.abs(g) ** 2 - 1.0 / d), where=~same, initial=0.0)
+    max_defect = np.max(np.abs(g - eye), where=same, initial=0.0)
+    return float(max_dev), float(max_defect)
+
+
+def _saved_and_loaded(d, tmp_path):
+    path = tmp_path / f"b{d}.txt"
+    save_bases(mub_set(d), path)
+    return [mub_set(d), load_bases(path)]
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+def test_stored_report_and_overlap_match_gram_oracle(d, tmp_path):
+    for mubs in _saved_and_loaded(d, tmp_path):
+        report = unbiasedness_report(mubs)
+        assert report is mubs._report
+        got = (report.max_unbiased_deviation, report.max_orthonormality_defect)
+        assert np.array(got).tobytes() == np.array(_report_oracle(mubs)).tobytes()
+        want = np.abs(_gram_oracle(mubs)) ** 2
+        want[range(d + 1), :, range(d + 1), :] = np.eye(d)
+        assert mubs._overlap.dtype == np.float64
+        assert mubs._overlap.tobytes() == want.tobytes()
+
+
+def test_unchecked_set_keeps_its_report_and_overlap():
+    # check=False builds both as well; only the raise is skipped.
+    b = standard_basis(2)
+    mubs = MubSet(dim=2, bases=(b, b, b), check=False)
+    assert unbiasedness_report(mubs).max_unbiased_deviation == 0.5
+    assert np.array_equal(mubs._overlap, np.tile(np.eye(2)[None, :, None, :], (3, 1, 3, 1)))
+
+
+def test_stored_overlap_and_report_are_read_only():
+    mubs = mub_set(3)
+    assert not mubs._overlap.flags.writeable
+    with pytest.raises(ValueError):
+        mubs._overlap[0, 0, 1, 0] = 0.0
+    with pytest.raises(ValueError):
+        mubs._overlap += 1.0
+    with pytest.raises(AttributeError):
+        mubs._report.max_unbiased_deviation = 0.0

@@ -87,6 +87,13 @@ def test_efficiency_table_validation():
         EfficiencyTable(dim=2, eta_a=np.full((2, 2), 0.5), eta_b=np.full((3, 2), 0.5))
     t = EfficiencyTable.uniform(3)
     assert t.complete
+    with pytest.raises(DimensionError, match="dimension must be an integer, got 2.0"):
+        EfficiencyTable.uniform(2.0)
+    with pytest.raises(DimensionError, match="dimension must be an integer, got 2.0"):
+        # (3.0, 2.0) == (3, 2): the shape check alone would keep a float dim,
+        # which save_efficiency_table writes as "dim 2.0" and load rejects.
+        EfficiencyTable(dim=2.0, eta_a=np.full((3, 2), 0.5), eta_b=np.full((3, 2), 0.5))
+    assert EfficiencyTable.uniform(np.int64(2)).eta_a.shape == (3, 2)
     assert np.all(t.eta_a == 1.0)
     partial = EfficiencyTable(
         dim=2,

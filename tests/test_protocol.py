@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mubqkd import protocol
-from mubqkd.bases import mub_set
+from mubqkd.bases import load_bases, mub_set, save_bases, unbiasedness_report
 from mubqkd.cli import cli_dispatch
 from mubqkd.counts import _MAX_DIM, normalize_blocks
 from mubqkd.errors import ConfigError, DimensionError
@@ -87,6 +87,26 @@ def test_config_validation():
         eb_config(source=None)  # entanglement-based needs a source
     # Prepare-and-measure works without a source.
     ProtocolConfig(dim=2, mode="pm", rounds=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field, name", [("seed", "seed"), ("rounds", "round count"), ("dim", "dimension")]
+)
+@pytest.mark.parametrize("bad", [2.0, 1.5, "2", None])
+def test_config_rejects_non_integer_counts(field, name, bad):
+    # seed=1.5 would draw seed 1's stream; rounds=1000.0 and dim=2.0 would
+    # fail inside the session with a bare TypeError.
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        ProtocolConfig(**{"dim": 2, "mode": "pm", "rounds": 10, "seed": 1, field: bad})
+
+
+def test_config_accepts_numpy_integers_and_keeps_range_messages():
+    cfg = ProtocolConfig(dim=np.int64(2), mode="pm", rounds=np.uint32(10), seed=np.uint64(2**64 - 1))
+    assert run_pm_session(cfg, mub_set(2)).counts.coincidences.sum() <= 10
+    with pytest.raises(ConfigError, match=r"^round count must lie in \[1, inf\), got 0$"):
+        ProtocolConfig(dim=2, mode="pm", rounds=np.int64(0), seed=1)
+    with pytest.raises(ConfigError, match=r"^seed must lie in \[0, 1.84467e\+19\), got -1$"):
+        ProtocolConfig(dim=2, mode="pm", rounds=10, seed=-1)
 
 
 def test_config_rejects_incomplete_efficiencies():
@@ -1220,3 +1240,45 @@ def test_counts_metadata_records_session():
     assert md["mode"] == "eb"
     assert md["rounds"] == 1000
     assert md["seed"] == 8
+
+
+def _overlaps_oracle(mubs, v):
+    """v |<e_ik|e_jm>|^2 + (1 - v) / d from a Gram tensor built anew on each call."""
+    d, n_b = mubs.dim, mubs.n_bases
+    ov = np.abs(np.einsum("ikx,jmx->ikjm", mubs._stack.conj(), mubs._stack)) ** 2
+    ov[range(n_b), :, range(n_b), :] = np.eye(d)
+    return v * ov + (1.0 - v) / d
+
+
+def _count_bytes(counts):
+    return b"".join(getattr(counts, k).tobytes() for k in ("singles_a", "singles_b", "coincidences"))
+
+
+def _vectorless(mubs):
+    """The set with only its dimension and what it built: a call that rebuilds the Gram finds no vectors."""
+    bare = object.__new__(type(mubs))
+    bare.__dict__.update(dim=mubs.dim, _overlap=mubs._overlap, _report=mubs._report)
+    return bare
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_overlaps_and_expected_counts_read_the_stored_tensor(d, tmp_path, monkeypatch):
+    path = tmp_path / "bases.txt"
+    save_bases(mub_set(d), path)
+    pm = ProtocolConfig(dim=d, mode="pm", rounds=100_000, seed=1, flip_prob=0.05, visibility=0.9)
+    eb = eb_config(dim=d, visibility=0.9)
+    for mubs in (mub_set(d), load_bases(path)):
+        got = [pm_effective_overlaps(mubs, 0.05), pm_effective_overlaps(mubs)]
+        got += [_count_bytes(expected_count_matrix(cfg, mubs)) for cfg in (pm, eb)]
+        bare = _vectorless(mubs)
+        assert unbiasedness_report(bare) is mubs._report
+        assert pm_effective_overlaps(bare, 0.05).tobytes() == got[0].tobytes()
+        assert [_count_bytes(expected_count_matrix(cfg, bare)) for cfg in (pm, eb)] == got[2:]
+        for cfg in (pm, eb):
+            assert _RoundKernel(cfg, bare).table.tobytes() == _RoundKernel(cfg, mubs).table.tobytes()
+        # The same bytes as the overlaps evaluated from a new Gram tensor.
+        assert got[0].tobytes() == _overlaps_oracle(mubs, 1.0 - 0.05 * d / (d - 1)).tobytes()
+        assert got[1].tobytes() == _overlaps_oracle(mubs, 1.0).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_overlaps", _overlaps_oracle)
+            assert [_count_bytes(expected_count_matrix(cfg, mubs)) for cfg in (pm, eb)] == got[2:]
