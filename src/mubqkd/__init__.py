@@ -71,7 +71,6 @@ from .states import (
     JointProbMatrix,
     isotropic_state,
     joint_prob_matrix,
-    maximally_entangled,
     visibility_for_qber,
 )
 

@@ -5,9 +5,9 @@ for prime d, the eigenbases of the unitaries X Z^l for l = 0 .. d-1, where
 Z and X are the generalized phase and shift operators.  Dimension 4 is not
 prime; its four other bases are the closed-form quadratic-phase bases of
 two qubits, each the joint eigenbasis of the Pauli class its label names.
-Each basis is built as one read-only complex array from a closed formula,
-its rows wrapped as Kets without a check of their own; the finished set
-is validated once, by the MubSet that holds it.
+Each basis is one read-only complex array built from a closed formula (a
+prime d's eigenbases share one), its rows wrapped as Kets without a check
+of their own; the finished set is validated once, by the MubSet holding it.
 
 A MubSet stacks its vectors once into the read-only (n_b, d, d) array
 ``_stack``, indexed [basis, element, amplitude], and builds its Gram tensor
@@ -111,6 +111,7 @@ class MubSet:
     def __post_init__(self, check: bool):
         bases = tuple(self.bases)
         object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "dim", check_index("dimension", self.dim, DimensionError))
         if len(bases) != self.dim + 1:
             raise DimensionError(
                 f"complete set for dimension {self.dim} needs {self.dim + 1} bases, "
@@ -179,6 +180,22 @@ def _kets(rows: np.ndarray) -> tuple[Ket, ...]:
     return tuple(Ket._unchecked(row) for row in rows)
 
 
+def _xzl_bases(d: int, ls) -> list[Basis]:
+    """The eigenbases of X Z^l for prime d and each l in ls, built as one read-only array."""
+    # Eigenvalue phases are integer multiples of pi/d; keeping the exponents
+    # as integers mod 2d makes the phase-ascending order exact.  The phase
+    # numerators (l (d-1) + 2 m) mod 2d, m = 0 .. d-1, are all the residues
+    # of l (d-1)'s parity, so in ascending order they are that parity + 2 m.
+    l = np.array(ls)[:, None, None]  # [basis, vector, amplitude]
+    j = np.arange(d)
+    numerators = (l * (d - 1)) % 2 + 2 * j[:, None]
+    exponents = (l * j * (j - 1) - numerators * j) % (2 * d)
+    phases = np.array([1.0 / math.sqrt(d) * cmath.exp(1j * cmath.pi * e / d) for e in range(2 * d)])
+    amps = phases[exponents]
+    amps.setflags(write=False)
+    return [Basis(label=f"XZ^{k}", vectors=_kets(rows)) for k, rows in zip(ls, amps)]
+
+
 def eigenbasis_xzl(d: int, l: int) -> Basis:
     """Eigenbasis of X Z^l for prime d, ordered by eigenvalue phase.
 
@@ -188,21 +205,17 @@ def eigenbasis_xzl(d: int, l: int) -> Basis:
     eigenvalue phase, and the leading amplitude 1/sqrt(d) already fixes
     each global phase real-positive.
     """
+    d = check_index("dimension", d, DimensionError)
     if not _is_prime(d):
         raise DimensionError(f"eigenbasis construction requires prime dimension, got {d}")
+    l = check_index("operator exponent l", l, ValueError)
     check_range("operator exponent l", l, 0, d, "[)", error=ValueError)
-
-    # Eigenvalue phases are integer multiples of pi/d; keeping the exponents
-    # as integers mod 2d makes the phase-ascending order exact.
-    numerators = sorted((l * (d - 1) + 2 * m) % (2 * d) for m in range(d))
-    j = np.arange(d)
-    exponents = (l * j * (j - 1) - np.array(numerators)[:, None] * j) % (2 * d)
-    phases = np.array([1.0 / math.sqrt(d) * cmath.exp(1j * cmath.pi * e / d) for e in range(2 * d)])
-    return Basis(label=f"XZ^{l}", vectors=_kets(phases[exponents]))
+    return _xzl_bases(d, [l])[0]
 
 
 def standard_basis(d: int) -> Basis:
     """The computational basis, which is also the eigenbasis of Z."""
+    d = check_index("dimension", d, DimensionError)
     return Basis(label="Z", vectors=_kets(np.eye(d, dtype=np.complex128)))
 
 
@@ -248,8 +261,7 @@ def mub_set(d: int) -> MubSet:
         bases = [Basis(label="ZI,IZ", vectors=standard_basis(4).vectors)]
         bases.extend(_quadratic_phase_basis(*row) for row in _TWO_QUBIT_BASES)
     else:
-        bases = [standard_basis(d)]
-        bases.extend(eigenbasis_xzl(d, l) for l in range(d))
+        bases = [standard_basis(d), *_xzl_bases(d, range(d))]
     try:
         return MubSet(dim=d, bases=tuple(bases))
     except ValueError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MubSet
-from .errors import DimensionError, check_range
+from .errors import DimensionError, check_index, check_range
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -88,15 +88,10 @@ class JointProbMatrix:
         return self.probs[basis_a, :, basis_b, :]
 
 
-def maximally_entangled(d: int) -> DensityOperator:
-    """|Psi><Psi| with |Psi> = (1/sqrt(d)) sum_i |i>|i>: the isotropic state at v = 1."""
-    return isotropic_state(d, 1.0)
-
-
 def isotropic_state(d: int, v: float) -> DensityOperator:
     """v |Psi><Psi| + (1 - v) I / d^2: the maximally entangled state mixed with white noise."""
     check_range("visibility", v, 0, 1, error=ValueError)
-    check_range("dimension", d, 2, error=DimensionError)
+    d = check_range("dimension", check_index("dimension", d, DimensionError), 2, error=DimensionError)
     psi = np.zeros(d * d, dtype=np.complex128)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
     noise = np.eye(d * d, dtype=np.complex128) / (d * d)
@@ -130,6 +125,6 @@ def visibility_for_qber(d: int, q: float) -> float:
     Inverts q = (1 - v)(d - 1)/d; q must not exceed the fully mixed
     ceiling (d - 1)/d.
     """
-    check_range("dimension", d, 2, error=DimensionError)
+    check_range("dimension", check_index("dimension", d, DimensionError), 2, error=DimensionError)
     check_range(f"error rate for d={d}", q, 0, (d - 1) / d, error=ValueError)
     return 1.0 - q * d / (d - 1)

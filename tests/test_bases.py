@@ -202,6 +202,69 @@ def test_numpy_integer_dimension_accepted():
     assert mub_set(np.int64(3))._stack.tobytes() == mub_set(3)._stack.tobytes()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: standard_basis(2.0), lambda: eigenbasis_xzl(2.0, 0)],
+    ids=["standard_basis", "eigenbasis_xzl"],
+)
+def test_basis_builders_reject_non_integer_dimension(call):
+    with pytest.raises(DimensionError, match="^dimension must be an integer, got 2.0$"):
+        call()
+
+
+@pytest.mark.parametrize("l", [1.0, 0.5, "1"])
+def test_eigenbasis_rejects_non_integer_exponent(l):
+    with pytest.raises(ValueError, match="^operator exponent l must be an integer, got "):
+        eigenbasis_xzl(3, l)
+
+
+def test_basis_builders_take_numpy_integers():
+    assert _amplitudes(standard_basis(np.int64(3))) == _amplitudes(standard_basis(3))
+    got = eigenbasis_xzl(np.int64(5), np.int64(2))
+    assert got.label == "XZ^2" and _amplitudes(got) == _amplitudes(eigenbasis_xzl(5, 2))
+    with pytest.raises(ValueError, match=r"^operator exponent l must lie in \[0, 3\), got 3$"):
+        eigenbasis_xzl(3, np.int64(3))
+
+
+def test_mubset_rejects_non_integer_dim(tmp_path):
+    bases = mub_set(2).bases
+    with pytest.raises(DimensionError, match="^dimension must be an integer, got 2.0$"):
+        MubSet(dim=2.0, bases=bases)
+    mubs = MubSet(dim=np.int64(2), bases=bases)
+    assert type(mubs.dim) is int
+    save_bases(mubs, tmp_path / "b.txt")
+    assert (tmp_path / "b.txt").read_text().startswith("dim 2\n")
+    assert load_bases(tmp_path / "b.txt")._stack.tobytes() == mubs._stack.tobytes()
+
+
+def _amplitudes(basis):
+    return b"".join(v.amplitudes.tobytes() for v in basis.vectors)
+
+
+def _xzl_one_l(d, l):
+    """Eigenbasis of X Z^l for one l: exponents mod 2d index one 2d-entry phase table."""
+    numerators = sorted((l * (d - 1) + 2 * m) % (2 * d) for m in range(d))
+    j = np.arange(d)
+    exponents = (l * j * (j - 1) - np.array(numerators)[:, None] * j) % (2 * d)
+    phases = np.array([1.0 / math.sqrt(d) * cmath.exp(1j * cmath.pi * e / d) for e in range(2 * d)])
+    return phases[exponents]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_eigenbases_match_one_l_oracle_byte_for_byte(d):
+    in_set = mub_set(d).bases
+    for l in range(d):
+        want = _xzl_one_l(d, l).tobytes()
+        for basis in (eigenbasis_xzl(d, l), in_set[1 + l]):
+            assert basis.label == f"XZ^{l}"
+            assert _amplitudes(basis) == want
+            for ket in basis.vectors:
+                owner = ket.amplitudes.base
+                assert owner is not None and not owner.flags.writeable
+                with pytest.raises(ValueError):
+                    owner[...] = 0.0
+
+
 def test_ket_validation():
     with pytest.raises(ValueError):
         Ket(np.array([1.0, 1.0]))  # not normalized

@@ -31,7 +31,6 @@ from mubqkd.states import (
     DensityOperator,
     JointProbMatrix,
     isotropic_state,
-    maximally_entangled,
     visibility_for_qber,
 )
 
@@ -161,7 +160,7 @@ _NAN_CASES = {
     "key_rate.q": lambda tmp: key_rate(3, NAN),
     "q_max.d": lambda tmp: q_max(NAN),
     "q_max.tol": lambda tmp: q_max(3, NAN),
-    "maximally_entangled": lambda tmp: maximally_entangled(NAN),
+    "isotropic_state.d": lambda tmp: isotropic_state(NAN, 1.0),
     "isotropic_state": lambda tmp: isotropic_state(3, NAN),
     "visibility_for_qber.d": lambda tmp: visibility_for_qber(NAN, 0.1),
     "visibility_for_qber.q": lambda tmp: visibility_for_qber(3, NAN),

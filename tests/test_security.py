@@ -190,6 +190,47 @@ def test_key_rate_domain():
         key_rate(1, 0.0)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_key_rate_of_numpy_scalar_is_the_float_bit_for_bit(d):
+    for q in np.linspace(0.0, q_max(d), 200):
+        got, want = key_rate(d, q), key_rate(d, float(q))
+        assert type(got) is float and type(want) is float
+        assert got.hex() == want.hex()
+
+
+def test_key_rate_of_float32_is_double_precision():
+    q = np.float32(0.05)
+    got = key_rate(3, q)
+    assert type(got) is float
+    assert got.hex() == key_rate(3, float(q)).hex()
+    assert got != float(np.float32(got))  # not rounded to single precision
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: key_rate(2.5, 0.1),
+        lambda: key_rate(3.0, 0.1),
+        lambda: q_max(2.5),
+        lambda: isotropic_joint_distribution(2.5, 0.1),
+    ],
+    ids=["key_rate", "key_rate.float", "q_max", "isotropic_joint_distribution"],
+)
+def test_analytic_calls_reject_non_integer_dimension(call):
+    with pytest.raises(DimensionError, match="^dimension must be an integer, got "):
+        call()
+
+
+def test_analytic_calls_take_numpy_integers_and_keep_range_messages():
+    d = np.int64(3)
+    assert key_rate(d, 0.05).hex() == key_rate(3, 0.05).hex()
+    assert q_max(d) == q_max(3)
+    assert np.array_equal(isotropic_joint_distribution(d, 0.1), isotropic_joint_distribution(3, 0.1))
+    for call in (lambda: key_rate(1, 0.1), lambda: q_max(1), lambda: isotropic_joint_distribution(1, 0.1)):
+        with pytest.raises(DimensionError, match=r"^dimension must lie in \[2, inf\), got 1$"):
+            call()
+
+
 def test_key_rate_monotone_decreasing_in_q():
     qs = np.linspace(0, 0.12, 40)
     rates = [key_rate(2, q) for q in qs]

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mubqkd.bases import mub_set
+from mubqkd.errors import DimensionError
 from mubqkd.protocol import pm_effective_overlaps
 from mubqkd.states import (
     DensityOperator,
     JointProbMatrix,
     isotropic_state,
     joint_prob_matrix,
-    maximally_entangled,
     visibility_for_qber,
 )
 
@@ -27,7 +27,7 @@ def _vector(mubs, basis, element):
 
 def test_maximally_entangled_projector():
     for d in (2, 3, 5):
-        rho = maximally_entangled(d)
+        rho = isotropic_state(d, 1.0)
         psi = np.zeros(d * d, dtype=complex)
         psi[:: d + 1] = 1 / np.sqrt(d)
         assert np.allclose(rho.matrix, np.outer(psi, psi.conj()))
@@ -65,14 +65,16 @@ def test_joint_prob_matrix_rejects_non_finite_probabilities(bad):
 def test_isotropic_state_is_the_mixture_byte_for_byte(d):
     noise = np.eye(d * d, dtype=complex) / d**2
     for v in (0.0, 0.37, 0.83, 1.0):
-        want = v * maximally_entangled(d).matrix + (1 - v) * noise
+        want = v * isotropic_state(d, 1.0).matrix + (1 - v) * noise
         assert isotropic_state(d, v).matrix.tobytes() == want.tobytes()
 
 
 def test_isotropic_state_limits():
     d = 3
     pure = isotropic_state(d, 1.0)
-    assert np.allclose(pure.matrix, maximally_entangled(d).matrix)
+    psi = np.zeros(d * d)
+    psi[:: d + 1] = 1 / np.sqrt(d)
+    assert np.allclose(pure.matrix, np.outer(psi, psi))
     flat = isotropic_state(d, 0.0)
     assert np.allclose(flat.matrix, np.eye(d * d) / d**2)
     with pytest.raises(ValueError):
@@ -172,3 +174,13 @@ def test_visibility_for_qber_domain():
     with pytest.raises(ValueError):
         visibility_for_qber(2, -0.01)
     assert visibility_for_qber(3, 0.0) == 1.0
+
+
+def test_state_calls_reject_non_integer_dimension():
+    for call in (lambda: isotropic_state(2.5, 0.9), lambda: visibility_for_qber(2.5, 0.1)):
+        with pytest.raises(DimensionError, match="^dimension must be an integer, got 2.5$"):
+            call()
+    assert visibility_for_qber(np.int64(3), 0.1) == visibility_for_qber(3, 0.1)
+    assert isotropic_state(np.int64(3), 0.9).matrix.tobytes() == isotropic_state(3, 0.9).matrix.tobytes()
+    with pytest.raises(DimensionError, match=r"^dimension must lie in \[2, inf\), got 1$"):
+        isotropic_state(1, 0.9)
