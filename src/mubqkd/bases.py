@@ -26,8 +26,8 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionError, ParseError, check_index, check_range
-from .errors import _dim_line, _text_lines
+from .errors import ConstructionError, DimensionError, ParseError, check_dimension, check_index, check_range
+from .errors import _dim_line, _text_lines, _unchecked
 
 ORTHONORMALITY_TOL = 1e-12
 UNBIASEDNESS_TOL = 1e-10
@@ -39,7 +39,7 @@ SUPPORTED_DIMENSIONS = (2, 3, 4, 5, 7)
 class Ket:
     """A unit-norm state vector; ``Ket(amplitudes)`` copies it and checks its norm.
 
-    Built basis rows skip both (``_unchecked``): the MubSet that holds them checks them.
+    Built basis rows skip both (see _kets): the MubSet that holds them checks them.
     """
 
     amplitudes: np.ndarray
@@ -54,13 +54,6 @@ class Ket:
         check_range("|ket norm - 1|", defect, 0, ORTHONORMALITY_TOL, error=ValueError)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
-
-    @classmethod
-    def _unchecked(cls, amplitudes: np.ndarray) -> Ket:
-        """Skip the copy and the norm check: for read-only rows a MubSet will check."""
-        ket = object.__new__(cls)
-        ket.__dict__["amplitudes"] = amplitudes
-        return ket
 
     @property
     def dim(self) -> int:
@@ -175,9 +168,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _kets(rows: np.ndarray) -> tuple[Ket, ...]:
-    """The rows of a built complex array, frozen, as unchecked Kets."""
+    """The rows of a built complex array, frozen, as Kets without a copy or a norm check of their own."""
     rows.setflags(write=False)
-    return tuple(Ket._unchecked(row) for row in rows)
+    return tuple(_unchecked(Ket, amplitudes=row) for row in rows)
 
 
 def _xzl_bases(d: int, ls) -> list[Basis]:
@@ -215,7 +208,7 @@ def eigenbasis_xzl(d: int, l: int) -> Basis:
 
 def standard_basis(d: int) -> Basis:
     """The computational basis, which is also the eigenbasis of Z."""
-    d = check_index("dimension", d, DimensionError)
+    d = check_dimension(d)
     return Basis(label="Z", vectors=_kets(np.eye(d, dtype=np.complex128)))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CountDataError, DimensionError, ParseError, _text_lines
+from .errors import CountDataError, DimensionError, ParseError, _text_lines, _unchecked, check_dimension
 from .states import JointProbMatrix
 
 CSV_HEADER = (
@@ -27,6 +27,7 @@ CSV_HEADER = (
 
 # The largest supported dimension: key strings hold one decimal digit per symbol.
 _MAX_DIM = 10
+_TALLIES = ("singles_a", "singles_b", "coincidences")
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +36,9 @@ class CountMatrix:
 
     Arrays are indexed [basis_a, elem_a, basis_b, elem_b].  ``exact=True``
     marks expectation-valued (fractional) data; otherwise entries must be
-    nonnegative integers.
+    nonnegative integers.  ``CountMatrix(...)`` and load_counts check this,
+    the dimension, the shapes and that no coincidence exceeds its singles;
+    counts the library computes from checked inputs skip it (see _from_flat).
     """
 
     dim: int
@@ -46,11 +49,11 @@ class CountMatrix:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_dimension(self.dim)
         n_b = self.dim + 1
         shape = (n_b, self.dim, n_b, self.dim)
-        names = ("singles_a", "singles_b", "coincidences")
-        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in names]
-        for name, arr in zip(names, arrays):
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _TALLIES]
+        for name, arr in zip(_TALLIES, arrays):
             if arr.shape != shape:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {shape} for dim {self.dim}"
@@ -62,7 +65,7 @@ class CountMatrix:
         }
         if not self.exact:
             faults["non-integer counts without exact flag"] = (flat != np.floor(flat)).any(axis=1)
-        for name, bad in zip(names, np.column_stack(list(faults.values()))):
+        for name, bad in zip(_TALLIES, np.column_stack(list(faults.values()))):
             if bad.any():
                 raise CountDataError(f"{name} contains {list(faults)[bad.argmax()]}")
         flat.setflags(write=False)
@@ -71,7 +74,7 @@ class CountMatrix:
         if np.any(over):
             idx = tuple(int(x) for x in np.argwhere(over)[0])
             raise CountDataError(f"coincidences exceed singles at setting pair {idx}")
-        for name, arr in zip(names, stack):
+        for name, arr in zip(_TALLIES, stack):
             object.__setattr__(self, name, arr)
 
     @property
@@ -85,22 +88,25 @@ class CountMatrix:
         return self.coincidences[basis_a, :, basis_b, :]
 
 
-def _from_flat(dim: int, tallies, **fields) -> CountMatrix:
+def _from_flat(dim: int, tallies, exact: bool, metadata: dict, check: bool = False) -> CountMatrix:
     """CountMatrix from (singles_a, singles_b, coincidences) over the flat cells.
 
     Flat cell s_a * n_s + s_b, with setting s = basis * dim + elem, is the C
     order of [basis_a, elem_a, basis_b, elem_b]: the row order of the CSV.
+    Without check the tallies become read-only rows of one float64 array and
+    skip CountMatrix's checks; each caller says why they would pass them.
     """
-    shape = (3, dim + 1, dim, dim + 1, dim)
-    singles_a, singles_b, coinc = np.reshape(tallies, shape).astype(np.float64)
-    return CountMatrix(dim, singles_a, singles_b, coinc, **fields)
+    stack = np.reshape(tallies, (3, dim + 1, dim, dim + 1, dim)).astype(np.float64)
+    stack.setflags(write=False)  # before the row views, which take their flag from it
+    fields = dict(zip(_TALLIES, stack), exact=exact, metadata=metadata)
+    return CountMatrix(dim, **fields) if check else _unchecked(CountMatrix, dim=dim, **fields)
 
 
 def normalize_blocks(counts: CountMatrix) -> JointProbMatrix:
     """Normalize each (basis_a, basis_b) coincidence block to unit total.
 
     Blocks with no coincidences at all are marked unavailable rather than
-    silently zeroed.
+    silently zeroed.  It keeps JointProbMatrix's check: its clip turns a -0.0 quotient into 0.0.
     """
     n_b = counts.n_bases
     coinc = counts.coincidences
@@ -214,4 +220,4 @@ def load_counts(
             f"counts file is missing {missing.size} setting pairs, first {first}; "
             "pass the partial flag to accept incomplete grids"
         )
-    return _from_flat(dim, tallies, exact=allow_float, metadata={"source": str(path)})
+    return _from_flat(dim, tallies, allow_float, {"source": str(path)}, check=True)

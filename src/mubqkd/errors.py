@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the range, integer and line checks that raise them.
+"""Exception types shared across the package, the range, integer and line checks that raise them, and _unchecked.
 
 The CLI maps these onto exit codes: validation problems (bad dimensions,
 malformed files, inconsistent counts, bad configuration) exit with 1,
@@ -96,3 +96,15 @@ def check_index(name, value, error=ConfigError):
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_dimension(value):
+    """Return value as an int if it is an integer of at least 2, else raise DimensionError."""
+    return check_range("dimension", check_index("dimension", value, DimensionError), 2, error=DimensionError)
+
+
+def _unchecked(cls, **fields):
+    """Frozen dataclass cls with every field given, skipping __post_init__: for values built to pass it."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .counts import _MAX_DIM, CountMatrix, _from_flat
-from .errors import ConfigError, CountDataError, DimensionError, ParseError, check_index, check_range
+from .errors import ConfigError, CountDataError, DimensionError, ParseError, check_dimension, check_range
 from .errors import _dim_line, _text_lines
 
 Setting = tuple[int, int]
@@ -88,7 +88,7 @@ class EfficiencyTable:
     eta_b: np.ndarray
 
     def __post_init__(self):
-        shape = (check_index("dimension", self.dim, DimensionError) + 1, self.dim)
+        shape = (check_dimension(self.dim) + 1, self.dim)
         for name in ("eta_a", "eta_b"):
             arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
@@ -103,7 +103,7 @@ class EfficiencyTable:
 
     @classmethod
     def uniform(cls, dim: int, eta: float = 1.0) -> "EfficiencyTable":
-        dim = check_index("dimension", dim, DimensionError)
+        dim = check_dimension(dim)
         full = np.full((dim + 1, dim), float(eta))
         return cls(dim=dim, eta_a=full, eta_b=full.copy())
 
@@ -139,7 +139,9 @@ def synthesize_conjugate_records(
     Without an rng the cells carry exact expectations (``exact=True``); with
     one, counts are Poisson-sampled around them (coincidences clamped to the
     physical ceiling of the sampled singles, which never binds at realistic
-    rates).
+    rates).  The inputs are checked, so the counts skip CountMatrix's checks
+    unless pulses * eta overflows: an expected coincidence is about eta / 2 of
+    either singles, a sampled one the least of its three draws.
     """
     partner = _partners(pairing, table.dim)
     eta_a = table.eta_a.reshape(-1)
@@ -159,7 +161,7 @@ def synthesize_conjugate_records(
     n_s = len(partner)
     grid = np.zeros((3, n_s * n_s))
     grid[:, np.arange(n_s) * n_s + partner] = tallies.T
-    return _from_flat(table.dim, grid, exact=rng is None)
+    return _from_flat(table.dim, grid, rng is None, {}, check=not np.isfinite(mu).all())
 
 
 def estimate_efficiency(

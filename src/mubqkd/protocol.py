@@ -39,7 +39,7 @@ import numpy as np
 
 from .bases import MubSet
 from .counts import _MAX_DIM, CountMatrix, _from_flat
-from .errors import ConfigError, DimensionError, check_index, check_range
+from .errors import ConfigError, DimensionError, _unchecked, check_index, check_range
 from .photonics import EfficiencyTable, SourceParams, pair_routing_probs
 from .security import _disagreement
 
@@ -149,7 +149,7 @@ class SessionRecord:
 
 @dataclass(frozen=True, eq=False)
 class SiftedData:
-    """Same-basis coincident rounds; both raw keys are read from their entries."""
+    """Same-basis coincident rounds, keys read from their entries; sift and estimate_parameters skip the check."""
 
     dim: int
     entries: np.ndarray
@@ -157,13 +157,6 @@ class SiftedData:
     def __post_init__(self):
         for name, top in (("basis", self.dim), ("elem_a", self.dim - 1), ("elem_b", self.dim - 1)):
             check_range(f"sifted {name}", int(self.entries[name].max(initial=0)), hi=top, error=DimensionError)
-
-    @classmethod
-    def _unchecked(cls, dim: int, entries: np.ndarray) -> SiftedData:
-        """Skip the range check: for entries that sift and estimate_parameters build in range."""
-        sifted = object.__new__(cls)
-        sifted.__dict__.update(dim=dim, entries=entries)
-        return sifted
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -530,7 +523,8 @@ def _run_chunked(cfg: ProtocolConfig, kernel: _RoundKernel, workers: int, keep_f
     take_rows(chunk, rounds, cat) gets each chunk's draw (_RoundKernel._draw) in
     chunk order, in the calling thread, and places its rows where it keeps them
     (kernel.place); with take_rows=None no rows are built.  Beside what take_rows
-    keeps, memory is O(chunk).
+    keeps, memory is O(chunk).  The counts skip CountMatrix's checks: they are
+    int64 tallies of rounds, each coincidence also counted in both singles.
     """
     check_range("worker count", workers, 1)
     size = kernel.chunk_rounds
@@ -543,7 +537,7 @@ def _run_chunked(cfg: ProtocolConfig, kernel: _RoundKernel, workers: int, keep_f
             take_rows(c, at, cat)
 
     return _from_flat(
-        cfg.dim, kernel.fold(totals), metadata={"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
+        cfg.dim, kernel.fold(totals), False, {"mode": cfg.mode, "rounds": cfg.rounds, "seed": cfg.seed}
     )
 
 
@@ -622,12 +616,19 @@ def run_pm_session(
 
 
 def expected_count_matrix(cfg: ProtocolConfig, mubs: MubSet) -> CountMatrix:
-    """Analytic per-cell expectations: rounds x P(setting pair) x the weighted click table."""
+    """Analytic per-cell expectations: rounds x P(setting pair) x the weighted click table.
+
+    The inputs are checked, so every factor is finite, and scaling by rounds
+    keeps signs and order: the counts skip CountMatrix's checks unless a
+    per-cell coincidence is negative or above its singles, as a PM one is where
+    an efficiency above one (EfficiencyTable's slack) meets an overlap of one.
+    """
     weights, table = _click_table(cfg, mubs)
     p_setting = np.repeat(np.asarray(cfg.basis_bias) / cfg.dim, cfg.dim)
     per_cell = np.outer(p_setting, p_setting).ravel() * (weights @ table)
     meta = {"mode": cfg.mode, "rounds": cfg.rounds, "expectation": True}
-    return _from_flat(cfg.dim, cfg.rounds * per_cell, exact=True, metadata=meta)
+    ok = np.all((per_cell[2] >= 0) & (per_cell[2] <= per_cell[:2].min(axis=0)))
+    return _from_flat(cfg.dim, cfg.rounds * per_cell, True, meta, check=not ok)
 
 
 def _key_string(elems: np.ndarray, dim: int) -> str:
@@ -651,7 +652,7 @@ def sift(session: SessionRecord) -> SiftedData:
     # builds an index of the kept rows.
     head = np.dtype({"names": ["entry"], "formats": [f"V{SIFT_DTYPE.itemsize}"], "itemsize": log.itemsize})
     entries = log.view(head)["entry"][mask].view(SIFT_DTYPE)
-    return SiftedData._unchecked(session.dim, entries)
+    return _unchecked(SiftedData, dim=session.dim, entries=entries)
 
 
 def estimate_parameters(
@@ -679,15 +680,16 @@ def estimate_parameters(
     entries = sifted.entries
     raw = entries.view(f"V{entries.itemsize}")  # whole entries, one copy each (see sift)
     sample = raw[mask].view(entries.dtype)
-    remaining = raw[np.logical_not(mask, out=mask)].view(entries.dtype)
     d = sifted.dim
     # The fields are uint8, so widen before the flat (basis, a, b) cell index.
     cells = (sample["basis"].astype(np.intp) * d + sample["elem_a"]) * d + sample["elem_b"]
     totals, errors = _disagreement(np.bincount(cells, minlength=(d + 1) * d * d).reshape(-1, d, d))
+    del sample, cells  # freed before the remaining entries' copy, the call's peak
+    remaining = raw[np.logical_not(mask, out=mask)].view(entries.dtype)
     q_by_basis = tuple(None if t == 0 else float(e / t) for t, e in zip(totals, errors))
     return ParameterEstimate(
         q_by_basis=q_by_basis,
         q_average=float(np.mean([q for q in q_by_basis if q is not None])),  # k >= 1: not empty
         sampled_rounds=k,
-        remaining=SiftedData._unchecked(d, remaining),
+        remaining=_unchecked(SiftedData, dim=d, entries=remaining),
     )

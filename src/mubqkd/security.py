@@ -22,7 +22,7 @@ import numpy as np
 
 from .bases import MubSet
 from .counts import CountMatrix
-from .errors import CountDataError, DimensionError, NumericError, check_index, check_range
+from .errors import CountDataError, NumericError, check_dimension, check_range
 from .states import DensityOperator, joint_prob_matrix
 
 PROBABILITY_TOL = 1e-12
@@ -57,7 +57,7 @@ def isotropic_joint_distribution(d: int, q: float) -> np.ndarray:
     Diagonal cells carry (1 - q)/d each, off-diagonal cells q/(d (d-1));
     this is the distribution every basis of a complete unbiased set sees.
     """
-    check_range("dimension", check_index("dimension", d, DimensionError), 2, error=DimensionError)
+    check_dimension(d)
     check_range(f"error rate for d={d}", q, 0, (d - 1) / d, error=ValueError)
     return np.where(np.eye(d, dtype=bool), (1.0 - q) / d, q / (d * (d - 1)))
 
@@ -106,7 +106,7 @@ def key_rate(d: int, q: float) -> float:
     d must be an integer of at least 2.  The rate is computed in Python floats
     on float(q), so it is a float, and a numpy scalar q gives its value's rate.
     """
-    d = check_range("dimension", check_index("dimension", d, DimensionError), 2, error=DimensionError)
+    d = check_dimension(d)
     check_range("error rate", q, 0, error=ValueError)
     return _rate(d, float(q))
 
@@ -138,7 +138,7 @@ def q_max(d: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     -log2 d < 0 at the uniform error (d-1)/d, and so has exactly one root
     in that bracket, which is bisected until |key_rate| < tol.
     """
-    d = check_range("dimension", check_index("dimension", d, DimensionError), 2, error=DimensionError)
+    d = check_dimension(d)
     check_range("tolerance", tol, 0, ends="(]", error=ValueError)
     lo, hi = 0.0, (d - 1) / d
     for _ in range(200):

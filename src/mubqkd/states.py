@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MubSet
-from .errors import DimensionError, check_index, check_range
+from .errors import DimensionError, _unchecked, check_dimension, check_range
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -28,12 +28,16 @@ POSITIVITY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A validated density matrix on a composite space of dimension dim**2."""
+    """A density matrix on a composite space of dimension dim**2, read-only complex128.
+
+    ``DensityOperator(...)`` checks it is finite, Hermitian, of trace one and positive semidefinite.
+    """
 
     matrix: np.ndarray
     dim: int
 
     def __post_init__(self):
+        check_dimension(self.dim)
         m = np.array(self.matrix, dtype=np.complex128)
         n = self.dim * self.dim
         if m.shape != (n, n):
@@ -59,7 +63,9 @@ class JointProbMatrix:
 
     ``block_available[i, j]`` is False when block (i, j) could not be
     normalized from data (zero total); analytic constructions leave every
-    block available.
+    block available.  ``JointProbMatrix(...)`` rejects a probability that is
+    not finite or below -1e-15 and clips the rest at 0.0; joint_prob_matrix's
+    tables need neither and skip the checks.
     """
 
     dim: int
@@ -67,6 +73,7 @@ class JointProbMatrix:
     block_available: np.ndarray
 
     def __post_init__(self):
+        check_dimension(self.dim)
         n_b = self.dim + 1
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (n_b, self.dim, n_b, self.dim):
@@ -89,20 +96,28 @@ class JointProbMatrix:
 
 
 def isotropic_state(d: int, v: float) -> DensityOperator:
-    """v |Psi><Psi| + (1 - v) I / d^2: the maximally entangled state mixed with white noise."""
+    """v |Psi><Psi| + (1 - v) I / d^2: the maximally entangled state mixed with white noise.
+
+    It skips DensityOperator's checks: for v in [0, 1] it is exactly real symmetric,
+    of trace one to rounding, with eigenvalues (1 - v) / d^2 and v + (1 - v) / d^2.
+    """
     check_range("visibility", v, 0, 1, error=ValueError)
-    d = check_range("dimension", check_index("dimension", d, DimensionError), 2, error=DimensionError)
+    d = check_dimension(d)
     psi = np.zeros(d * d, dtype=np.complex128)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
     noise = np.eye(d * d, dtype=np.complex128) / (d * d)
-    return DensityOperator(v * np.outer(psi, psi.conj()) + (1.0 - v) * noise, dim=d)
+    m = v * np.outer(psi, psi.conj()) + (1.0 - v) * noise
+    m.setflags(write=False)
+    return _unchecked(DensityOperator, matrix=m, dim=d)
 
 
 def joint_prob_matrix(rho: DensityOperator, mubs: MubSet) -> JointProbMatrix:
     """All joint probabilities with Alice conjugated, over every setting pair.
 
     probs[i, k, j, m] = tr[(P_ik* x P_jm) rho]: Alice's filter is the
-    conjugate of vector k of basis i, Bob's is vector m of basis j.
+    conjugate of vector k of basis i, Bob's is vector m of basis j.  The state
+    and unit vectors are finite, and so the products are; clipped at 0.0 as
+    JointProbMatrix would clip them, the table skips its checks.
     """
     d, n_b = mubs.dim, mubs.n_bases
     if rho.dim != d:
@@ -113,10 +128,11 @@ def joint_prob_matrix(rho: DensityOperator, mubs: MubSet) -> JointProbMatrix:
     # Real products only: at this size a complex @ takes a threaded BLAS path (ms, not us).
     a, b, c, e = p.real, p.imag, r.real, r.imag
     val = (a @ c - b @ e) @ a.T + (a @ e + b @ c) @ b.T
-    probs = np.maximum(val, 0.0).reshape(n_b, d, n_b, d)
-    return JointProbMatrix(
-        dim=d, probs=probs, block_available=np.ones((n_b, n_b), dtype=bool)
-    )
+    probs = np.clip(val.reshape(n_b, d, n_b, d), 0.0, None)
+    avail = np.ones((n_b, n_b), dtype=bool)
+    probs.setflags(write=False)
+    avail.setflags(write=False)
+    return _unchecked(JointProbMatrix, dim=d, probs=probs, block_available=avail)
 
 
 def visibility_for_qber(d: int, q: float) -> float:
@@ -125,6 +141,6 @@ def visibility_for_qber(d: int, q: float) -> float:
     Inverts q = (1 - v)(d - 1)/d; q must not exceed the fully mixed
     ceiling (d - 1)/d.
     """
-    check_range("dimension", check_index("dimension", d, DimensionError), 2, error=DimensionError)
+    check_dimension(d)
     check_range(f"error rate for d={d}", q, 0, (d - 1) / d, error=ValueError)
     return 1.0 - q * d / (d - 1)

@@ -1,4 +1,9 @@
-"""Tests for the counts container, CSV schema, and block normalization."""
+"""Tests for the counts container, CSV schema, and block normalization.
+
+Also: every container the library builds without its checks passes them.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,10 +15,17 @@ from mubqkd.counts import (
     normalize_blocks,
     save_counts,
 )
-from mubqkd.bases import Ket
+from mubqkd.bases import Ket, mub_set, standard_basis
 from mubqkd.errors import CountDataError, DimensionError, ParseError
-from mubqkd.photonics import EfficiencyTable
-from mubqkd.states import DensityOperator, JointProbMatrix
+from mubqkd.photonics import EfficiencyTable, SourceParams, synthesize_conjugate_records
+from mubqkd.protocol import (
+    CHUNK_ROUNDS,
+    ProtocolConfig,
+    expected_count_matrix,
+    run_eb_session,
+    run_pm_session,
+)
+from mubqkd.states import DensityOperator, JointProbMatrix, isotropic_state, joint_prob_matrix
 
 
 def _grid(d, fill_s=100.0, fill_c=10.0):
@@ -242,6 +254,87 @@ def test_constructors_copy_before_freezing(build, field, make):
     assert arr.flags.writeable
     assert not stored.flags.writeable
     arr.flat[0] = arr.flat[0]
+
+
+_NOT_A_DIMENSION = [2.0, 1, 0, -1, np.float64(3.0)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: CountMatrix(d, *_grid(2)),
+        lambda d: DensityOperator(np.eye(4) / 4, dim=d),
+        lambda d: JointProbMatrix(dim=d, probs=np.zeros((3, 2, 3, 2)), block_available=np.ones((3, 3), dtype=bool)),
+        lambda d: EfficiencyTable(dim=d, eta_a=np.full((3, 2), 0.5), eta_b=np.full((3, 2), 0.5)),
+        standard_basis,
+    ],
+    ids=["CountMatrix", "DensityOperator", "JointProbMatrix", "EfficiencyTable", "standard_basis"],
+)
+@pytest.mark.parametrize("dim", _NOT_A_DIMENSION, ids=repr)
+def test_dimension_must_be_an_integer_of_at_least_2(build, dim):
+    # 2.0 passed the shape checks, as (3, 2) == (3.0, 2.0), or died in reshape
+    # with a bare TypeError; 1 built one-vector bases; -1 died in np.eye.
+    with pytest.raises(DimensionError, match="^dimension must"):
+        build(dim)
+    build(np.int64(2))
+
+
+# What the library builds without the constructors' checks: every container,
+# rebuilt from its own fields by its public constructor, must pass unchanged.
+_VISIBILITIES = (0, 0.37, 1, np.float32(0.37))
+_FLIP_MAX = float(np.nextafter(1.0, 0.0))  # ProtocolConfig's flip probabilities are [0, 1)
+
+
+def _uneven(d):
+    rng = np.random.default_rng([17, d])
+    return EfficiencyTable(
+        dim=d, eta_a=rng.uniform(0.05, 1.0, (d + 1, d)), eta_b=rng.uniform(0.05, 1.0, (d + 1, d))
+    )
+
+
+def _built(d):
+    """(name, object) for every object the library builds unchecked at dimension d."""
+    for v in _VISIBILITIES:
+        yield f"isotropic_state v={v!r}", isotropic_state(d, v)
+    if d not in (2, 3, 4, 5, 7):
+        return
+    mubs = mub_set(d)
+    for v in _VISIBILITIES:
+        yield f"joint_prob_matrix v={v!r}", joint_prob_matrix(isotropic_state(d, v), mubs)
+    for flip, pair_prob, eta in ((0.05, 0.0999, _uneven(d)), (_FLIP_MAX, 1e-6, None)):
+        for v in _VISIBILITIES:
+            for mode in ("eb", "pm"):
+                cfg = ProtocolConfig(
+                    dim=d, mode=mode, rounds=CHUNK_ROUNDS + 4321, seed=d, visibility=v, flip_prob=flip,
+                    source=SourceParams(pulses=10**6, alpha_sq=pair_prob, chi=1.0), efficiencies=eta,
+                )
+                tag = f"{mode} v={v!r} f={flip} p={pair_prob}"
+                yield f"expected_count_matrix {tag}", expected_count_matrix(cfg, mubs)
+                run = run_eb_session if mode == "eb" else run_pm_session
+                yield f"session {tag}", run(cfg, mubs).counts  # ends inside a chunk
+                if mode == "pm":
+                    yield f"exact session {tag}", run_pm_session(cfg, mubs, exact=True).counts
+    for pair_prob in (1e-6, 0.0999):
+        source = SourceParams(pulses=10**8, alpha_sq=pair_prob, chi=1.0)
+        for table in (_uneven(d), EfficiencyTable.uniform(d)):
+            yield f"exact records p={pair_prob}", synthesize_conjugate_records(source, table)
+            rng = np.random.default_rng([d, 3])
+            yield f"Poisson records p={pair_prob}", synthesize_conjugate_records(source, table, rng=rng)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_built_containers_pass_their_constructors_checks(d):
+    for name, built in _built(d):
+        fields = {f.name: getattr(built, f.name) for f in dataclasses.fields(built)}
+        again = type(built)(**fields)
+        for key, value in fields.items():
+            want = getattr(again, key)
+            if isinstance(want, np.ndarray):
+                assert (value.dtype, value.shape) == (want.dtype, want.shape), (name, key)
+                assert not value.flags.writeable and not want.flags.writeable, (name, key)
+                assert value.tobytes() == want.tobytes(), (name, key)
+            else:
+                assert value == want, (name, key)
 
 
 # The element-by-element save, row-by-row scatter and per-block normalization

@@ -1047,6 +1047,17 @@ def test_key_material_chain_holds_little_beside_its_outputs():
     assert peak < 1.75 * est.remaining.entries.nbytes
 
 
+@pytest.mark.parametrize("fraction", [0.1, 0.3])
+def test_estimate_drops_its_sample_before_copying_the_remaining_entries(fraction):
+    # Peak over the remaining entries' bytes: about 1.10 with the sample and
+    # its cell index freed before that copy, 1.40 (1.90 at fraction 0.3) with
+    # them alive beside it.
+    cfg = ProtocolConfig(dim=3, mode="pm", rounds=1_000_000, seed=65, flip_prob=0.05)
+    sifted = sift(run_pm_session(cfg, mub_set(3)))
+    est, peak = _traced_peak(lambda: estimate_parameters(sifted, fraction, np.random.default_rng(5)))
+    assert peak < 1.25 * est.remaining.entries.nbytes
+
+
 def test_sift_key_alphabet_matches_dimension():
     cfg = ProtocolConfig(dim=3, mode="pm", rounds=60_000, seed=3)
     session = run_pm_session(cfg, mub_set(3), keep_full_log=True)
